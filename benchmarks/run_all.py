@@ -1,15 +1,15 @@
 """Benchmark driver: figures, engine speed scenarios, regression gate.
 
 Runs every ``bench_*.py`` figure reproduction (each as a pytest
-subprocess, timed), then the three engine speed scenarios that the
-hot-path layer optimises, each measured *paired* in one process against
-its legacy configuration:
+subprocess, timed), then the engine speed scenarios.  The two search
+scenarios time the one component search (:mod:`repro.sat.search`) in
+absolute seconds; the others measure each optimised path *paired* in
+one process against its baseline:
 
-* ``sharp_sat`` — exact #SAT on a random 3-CNF: trail-based
-  watched-literal counter vs the seed clause-list recursion
-  (``ModelCounter(propagator="legacy", cache_mode="exact")``);
-* ``dnnf_compile`` — CNF→Decision-DNNF compilation: trail-based
-  compiler vs the seed recursion;
+* ``sharp_sat`` — exact #SAT on a random 3-CNF (``ModelCounter``),
+  checked against counting on the compiled circuit;
+* ``dnnf_compile`` — CNF→Decision-DNNF compilation, its circuit's
+  count checked against ``ModelCounter``;
 * ``repeated_wmc`` — many weighted model counts on one compiled
   circuit: dense-array kernel (:mod:`repro.nnf.kernel`) vs the seed
   recursive queries (:mod:`repro.nnf.queries_legacy`);
@@ -64,10 +64,11 @@ a hung scenario fails with ``BudgetExceeded`` and is recorded as a
 failure instead of stalling the driver; figure subprocesses get the
 same bound via ``subprocess`` timeouts.
 
-Each scenario records wall times, the speedup, the operation counters
-of the optimised engine, and an agreement check between both engines'
-results.  Everything is serialised to ``BENCH_<timestamp>.json``; if an
-earlier ``BENCH_*.json`` exists, the run is compared against the most
+Each scenario records wall times (and, when it has a baseline, the
+speedup), the operation counters of the optimised engine, and an
+agreement check of its result against an independent one.
+Everything is serialised to ``BENCH_<timestamp>.json``; if an earlier
+``BENCH_*.json`` exists, the run is compared against the most
 recent one and slowdowns beyond the noise threshold are flagged as
 regressions.  Regressions make the driver exit non-zero (status 2), so
 the gate is scriptable; ``--advisory`` restores the warn-only
@@ -165,54 +166,39 @@ def run_figures(quick: bool, timeout: float | None = None):
 
 # -- engine speed scenarios ----------------------------------------------------
 def scenario_sharp_sat(quick: bool):
-    """#SAT on a random 3-CNF (n>=60 in the full run)."""
+    """#SAT on a random 3-CNF (n>=60 in the full run), checked against
+    counting on the compiled circuit."""
     n, m, seed = (50, 130, 42) if quick else (60, 150, 42)
     cnf = random_3cnf(n, m, seed)
-    optimized = ModelCounter()
-    legacy = ModelCounter(propagator="legacy", cache_mode="exact")
+    counter = ModelCounter()
     start = time.perf_counter()
-    new_count = optimized.count(cnf)
-    mid = time.perf_counter()
-    old_count = legacy.count(cnf)
+    count = counter.count(cnf)
     end = time.perf_counter()
+    root = DnnfCompiler(store=None).compile(cnf)
     return {
-        "instance": {"n": n, "m": m, "seed": seed, "count": new_count},
-        "optimized_s": round(mid - start, 4),
-        "legacy_s": round(end - mid, 4),
-        "speedup": round((end - mid) / (mid - start), 3),
-        "agree": new_count == old_count,
-        "counters": {
-            "optimized": optimized.stats.as_dict(),
-            "legacy": legacy.stats.as_dict(),
-        },
+        "instance": {"n": n, "m": m, "seed": seed, "count": count},
+        "optimized_s": round(end - start, 4),
+        "agree": count == queries.model_count(root, range(1, n + 1)),
+        "counters": {"optimized": counter.stats.as_dict()},
     }
 
 
 def scenario_dnnf_compile(quick: bool):
-    """CNF -> Decision-DNNF compilation."""
+    """CNF -> Decision-DNNF compilation, its circuit's count checked
+    against the model counter."""
     n, m, seed = (40, 95, 11) if quick else (50, 120, 11)
     cnf = random_3cnf(n, m, seed)
-    optimized = DnnfCompiler()
-    legacy = DnnfCompiler(propagator="legacy", cache_mode="exact")
-    full = range(1, n + 1)
+    compiler = DnnfCompiler(store=None)
     start = time.perf_counter()
-    new_root = optimized.compile(cnf)
-    mid = time.perf_counter()
-    old_root = legacy.compile(cnf)
+    root = compiler.compile(cnf)
     end = time.perf_counter()
     return {
         "instance": {"n": n, "m": m, "seed": seed},
-        "optimized_s": round(mid - start, 4),
-        "legacy_s": round(end - mid, 4),
-        "speedup": round((end - mid) / (mid - start), 3),
-        "agree": queries.model_count(new_root, full)
-        == queries.model_count(old_root, full),
-        "circuit_nodes": {"optimized": new_root.node_count(),
-                          "legacy": old_root.node_count()},
-        "counters": {
-            "optimized": optimized.stats.as_dict(),
-            "legacy": legacy.stats.as_dict(),
-        },
+        "optimized_s": round(end - start, 4),
+        "agree": queries.model_count(root, range(1, n + 1))
+        == ModelCounter().count(cnf),
+        "circuit_nodes": {"optimized": root.node_count()},
+        "counters": {"optimized": compiler.stats.as_dict()},
     }
 
 
@@ -1265,10 +1251,11 @@ def main(argv=None) -> int:
                       "speedup": 0, "budget_exceeded": str(error),
                       "counters": {}}
         report["scenarios"][name] = result
-        line = (f"  {name:15s} optimized {result['optimized_s']:8.3f}s"
-                f"  legacy {result['legacy_s']:8.3f}s"
-                f"  speedup {result['speedup']:5.2f}x"
-                f"  agree={result['agree']}")
+        line = f"  {name:15s} optimized {result['optimized_s']:8.3f}s"
+        if "legacy_s" in result:
+            line += (f"  legacy {result['legacy_s']:8.3f}s"
+                     f"  speedup {result['speedup']:5.2f}x")
+        line += f"  agree={result['agree']}"
         if "cache_hit_rate" in result:
             line += f"  hit-rate={result['cache_hit_rate']:.2f}"
         print(line)

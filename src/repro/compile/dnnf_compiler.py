@@ -13,34 +13,51 @@ variables are decided before all others.  Compiling with the E-MAJSAT
 which E-MAJSAT and MAJMAJSAT become circuit evaluations (Section 3,
 [61, 67]); see :mod:`repro.solvers`.
 
-Hot-path configuration (see ``docs/performance.md``): by default the
-search runs on a persistent two-watched-literal trail engine over
-clause indices — conditioning is an enqueue plus propagation,
-unconditioning a trail rewind, and no residual clause list is ever
-materialised (``propagator="legacy"`` restores the seed's recursion
-with per-node clause-list rebuilding and rescan propagation as a
-benchmark baseline).  ``cache_mode`` picks the component cache keys:
-cheap canonical hashes by default, ``"exact"`` collision-free
-materialised keys.  ``stats`` is a
+The search is :class:`repro.sat.search.TrailSearch`, the one the
+model counter and the anytime bounds run (see ``docs/performance.md``);
+the compiler reads it through NNF nodes: a decision becomes the
+decision gate ``(X ∧ α) ∨ (¬X ∧ β)`` and a partition the conjunction of
+its assigned literals and its components.  ``cache_mode`` picks the
+component cache keys: cheap hashes by default, ``"exact"``
+collision-free keys.  ``stats`` is a
 :class:`repro.perf.instrument.Counter` accumulating propagations,
 clause visits, decisions and cache hits per ``compile`` call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
-from ..limits.budget import Budget, BudgetExceeded, resolve_budget
+from ..limits.budget import Budget, resolve_budget
 from ..logic.cnf import Cnf
 from ..nnf.node import NnfManager, NnfNode
 from ..perf.instrument import Counter
-from ..sat.components import split_components, trail_components
-from ..sat.counter import component_key
-from ..sat.propagation import TrailPropagator
+from ..sat.search import Algebra, Component, TrailSearch
 
 __all__ = ["DnnfCompiler", "compile_cnf"]
 
-Clause = Tuple[int, ...]
+
+class _Nodes(Algebra):
+    """Decision-DNNF nodes built in ``manager``."""
+
+    def __init__(self, manager: NnfManager):
+        self.manager = manager
+        self.zero = manager.false()
+
+    def conjoin(self, decision: Optional[int], implied: Sequence[int],
+                parts: List[NnfNode], scope: Sequence[int],
+                components: List[Component]) -> NnfNode:
+        literals = sorted(implied, key=abs)
+        if decision is not None:
+            # the decision literal must stay the first conjunct: or-gates
+            # are decision gates (X∧α)∨(¬X∧β)
+            literals.insert(0, decision)
+        literal = self.manager.literal
+        return self.manager.conjoin(*[literal(lit) for lit in literals],
+                                    *parts)
+
+    def disjoin(self, high: NnfNode, low: NnfNode) -> NnfNode:
+        return self.manager.disjoin(high, low)
 
 
 class DnnfCompiler:
@@ -62,14 +79,12 @@ class DnnfCompiler:
         priority variables before any other variable.
     cache_mode:
         ``"hash"`` (default) keys the component cache by a cheap
-        canonical hash; ``"exact"`` by the frozenset of clauses — the
-        collision-free correctness fallback.
+        hash; ``"exact"`` by the residual itself — the collision-free
+        correctness fallback.
     propagator:
-        ``"watched"`` (default) runs the trail-based search on the
-        two-watched-literal engine; ``"legacy"`` the seed's clause-list
-        recursion with rescan propagation, kept as a measurable
-        baseline.  ``None`` defers to
-        :func:`repro.compat.default_propagator` (``REPRO_LEGACY``).
+        Only ``"watched"``, the two-watched-literal trail engine; any
+        other value raises ``ValueError``.  The name stays part of
+        every stored artifact key.
     store:
         An optional :class:`repro.ir.store.ArtifactStore`: compilations
         are looked up by the SHA-256 of (compiler name, config, DIMACS
@@ -109,8 +124,8 @@ class DnnfCompiler:
         against the original DIMACS and certify circuit ≡ CNF.  The
         sealed trace lands on :attr:`last_proof` (and as a ``.proof``
         sidecar in the store, when one is wired).  Proof mode always
-        re-runs the search — a warm artifact has no trace — and
-        requires the watched propagator.  A budget-interrupted
+        re-runs the search — a warm artifact has no trace.  A
+        budget-interrupted
         compile leaves :attr:`last_proof` as None: partial traces
         prove nothing.
     """
@@ -119,21 +134,14 @@ class DnnfCompiler:
                  use_components: bool = True, use_cache: bool = True,
                  priority: Sequence[int] | None = None,
                  cache_mode: str = "hash",
-                 propagator: str | None = None, store=None,
+                 propagator: str = "watched", store=None,
                  budget: Optional[Budget] = None,
                  optimize: "bool | str | Sequence[str] | None" = None,
                  proof: bool = False):
-        if propagator is None:
-            from ..compat import default_propagator
-            propagator = default_propagator()
         if cache_mode not in ("hash", "exact"):
             raise ValueError(f"unknown cache_mode {cache_mode!r}")
-        if propagator not in ("watched", "legacy"):
+        if propagator != "watched":
             raise ValueError(f"unknown propagator {propagator!r}")
-        if proof and propagator != "watched":
-            raise ValueError(
-                "proof logging requires the watched (trail) "
-                "propagator; the legacy baseline emits no trace")
         if store is None:
             from ..ir.store import default_store
             store = default_store()
@@ -159,12 +167,17 @@ class DnnfCompiler:
         self.proof = proof
         #: the ``repro-proof/1`` trace of the last proof-mode compile
         self.last_proof: Optional[str] = None
-        self._trace = None
-        self._proof_ids: Dict[Hashable, int] = {}
         self.cache: Dict[Hashable, NnfNode] = {}
         self.stats = Counter()
-        self.cache_hits = 0
-        self.decisions = 0
+
+    # -- statistics of the most recent compile -----------------------------
+    @property
+    def cache_hits(self) -> int:
+        return self.stats["cache_hits"]
+
+    @property
+    def decisions(self) -> int:
+        return self.stats["decisions"]
 
     def compile(self, cnf: Cnf) -> NnfNode:
         """Compile; the circuit mentions only constrained variables.
@@ -173,41 +186,24 @@ class DnnfCompiler:
         count with ``model_count(root, variables=range(1, n+1))`` to
         account for them.
         """
-        self.cache.clear()
         self.stats.clear()
-        self.cache_hits = 0
-        self.decisions = 0
+        self.cache = {}
         self.optimize_report = None
         self.forgotten_vars = frozenset()
         self.last_proof = None
-        self._trace = None
-        self._proof_ids = {}
         self._active_budget = resolve_budget(self.budget)
         key = None
         if self.store is not None:
             key = self._artifact_key(cnf)
+        trace = None
         if self.proof:
             # proof mode always re-runs the search — a warm artifact
             # has no trace to vouch for it (the facade short-circuits
             # already-PROVED keys before ever reaching the compiler)
             from ..proof.trace import TraceBuilder, dimacs_digest
-            self._trace = TraceBuilder(cnf.num_vars, len(cnf.clauses),
-                                       dimacs_digest(cnf.to_dimacs()))
-        if any(len(c) == 0 for c in cnf.clauses):
-            root = self.manager.false()
-            if key is not None:
-                # the trivial artifact still has to land in the store:
-                # a .proof sidecar with no .nnf to bind to would refute
-                from ..ir.core import (FLAG_DECOMPOSABLE,
-                                       FLAG_DETERMINISTIC)
-                from ..ir.lower import nnf_to_ir
-                self.store.save_nnf(key, nnf_to_ir(
-                    root, flags=FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC))
-            if self._trace is not None:
-                self._trace.root_conflict()
-                self._finish_proof(key, root)
-            return root
-        if self.store is not None and self._trace is None:
+            trace = TraceBuilder(cnf.num_vars, len(cnf.clauses),
+                                 dimacs_digest(cnf.to_dimacs()))
+        elif self.store is not None:
             from ..ir.core import FLAG_DECOMPOSABLE, FLAG_DETERMINISTIC
             cached = self.store.load_nnf(
                 key, flags=FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC)
@@ -217,26 +213,26 @@ class DnnfCompiler:
                 if self.optimize is not None:
                     return self._post_optimize(cnf, key, cached)
                 return ir_to_nnf(cached, self.manager)
-        try:
-            if self.propagator == "watched":
-                root = self._compile_trail(list(cnf.clauses))
-            else:
-                root = self._compile(list(cnf.clauses))
-        except BudgetExceeded as error:
-            self._trace = None  # a partial trace proves nothing
-            error.partial.setdefault("operation", "compile")
-            error.partial.setdefault("decisions", self.decisions)
-            error.partial.setdefault("cache_entries", len(self.cache))
-            raise
-        if self._trace is not None:
-            self._finish_proof(key, root)
+        search = TrailSearch(
+            cnf, _Nodes(self.manager), use_components=self.use_components,
+            use_cache=self.use_cache, cache_mode=self.cache_mode,
+            priority=self.priority, budget=self._active_budget,
+            stats=self.stats, trace=trace, operation="compile")
+        self.cache = search.cache
+        # a budget-interrupted search raises here: its partial trace
+        # proves nothing and is dropped
+        root = search.run()
+        if trace is not None:
+            self._finish_proof(key, root, trace)
         base_ir = None
         if key is not None:
             from ..ir.core import FLAG_DECOMPOSABLE, FLAG_DETERMINISTIC
             from ..ir.lower import nnf_to_ir
             # Decision-DNNF is decomposable and deterministic by
             # construction; assert it so the artifact certificate
-            # covers exactly the flags the warm-load path claims
+            # covers exactly the flags the warm-load path claims.  A
+            # refuted root (an empty clause) lands in the store too: a
+            # .proof sidecar with no .nnf to bind to would refute
             base_ir = nnf_to_ir(
                 root, flags=FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC)
             self.store.save_nnf(key, base_ir)
@@ -250,16 +246,13 @@ class DnnfCompiler:
             return self._post_optimize(cnf, key, base_ir)
         return root
 
-    def _finish_proof(self, key: Optional[str], root: NnfNode) -> None:
+    def _finish_proof(self, key: Optional[str], root: NnfNode,
+                      trace) -> None:
         """Seal the emitted trace: bind it to the built circuit's
         semantic digest, expose it on :attr:`last_proof`, and file it
         as a ``.proof`` sidecar next to the artifact when a store is
         wired."""
         from ..proof.trace import circuit_digest
-        trace = self._trace
-        self._trace = None
-        if trace is None:
-            return
         trace.set_circuit_digest(circuit_digest(root))
         text = trace.text()
         self.last_proof = text
@@ -314,238 +307,6 @@ class DnnfCompiler:
         """The store content key this compiler would file ``cnf``
         under — the dedup key of the serving layer."""
         return self._artifact_key(cnf)
-
-    # -- trail-based search (the default, sharpSAT-style) ---------------------
-    # The same architecture as ModelCounter's trail path: one persistent
-    # watched-literal engine per compile, conditioning by trail
-    # enqueue/rewind, and clause *indices* instead of materialised
-    # residual clause lists.  The trail delta of a branch (decision plus
-    # propagated literals) becomes the branch's literal conjuncts, so
-    # the produced circuit is a Decision-DNNF exactly like the legacy
-    # recursion's — shapes can differ marginally because the index-based
-    # cache distinguishes clause multiplicity where frozensets do not.
-    def _compile_trail(self, clauses: List[Clause]) -> NnfNode:
-        engine = TrailPropagator(clauses, max(
-            (abs(lit) for c in clauses for lit in c), default=0), self.stats)
-        trace = self._trace
-        if not engine.assert_root():
-            if trace is not None:
-                trace.root_conflict()
-            return self.manager.false()
-        root_lits = sorted(engine.trail, key=abs)
-        if trace is not None:
-            trace.root(root_lits)
-        guards = [self.manager.literal(lit) for lit in root_lits]
-        parts = self._ct_parts(range(len(clauses)), engine, clauses)
-        return self.manager.conjoin(*(guards + parts))
-
-    def _ct_parts(self, indices, engine: TrailPropagator,
-                  clauses: List[Clause]) -> List[NnfNode]:
-        components, occ = trail_components(clauses, indices, engine.values,
-                                           self.use_components)
-        if self.use_components and components:
-            self.stats.incr("component_splits")
-            self.stats.incr("components_found", len(components))
-        if self._trace is not None:
-            self._trace.begin_partition(len(components))
-        return [self._ct_component(comp_indices, comp_vars, occ,
-                                   engine, clauses)
-                for comp_indices, comp_vars in components]
-
-    def _ct_component(self, comp_indices: List[int], comp_vars: List[int],
-                      occ, engine: TrailPropagator,
-                      clauses: List[Clause]) -> NnfNode:
-        trace = self._trace
-        key: Optional[Hashable] = None
-        if self.use_cache:
-            # (clause ids, free vars) fully determines the residual: all
-            # assigned literals of an unsatisfied clause are false
-            ids = tuple(comp_indices)
-            vrs = tuple(sorted(comp_vars))
-            key = ((hash(ids), hash(vrs))
-                   if self.cache_mode == "hash" else (ids, vrs))
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                self.stats.incr("cache_hits")
-                if trace is not None:
-                    # back-reference to the hit's proved subtrace; the
-                    # checker re-derives both residuals, so a key
-                    # collision serving the wrong node is refuted
-                    trace.cache_hit(self._proof_ids[key], comp_indices)
-                return hit
-        if self._active_budget is not None:
-            self._active_budget.tick()
-        var = self._pick_trail(comp_vars, occ)
-        self.decisions += 1
-        self.stats.incr("decisions")
-        if trace is not None:
-            trace.begin_component(comp_indices)
-            trace.decision(var)
-        branches = []
-        for value in (True, False):
-            literal = var if value else -var
-            mark = len(engine.trail)
-            if engine.condition(literal):
-                # the decision literal (trail[mark]) must stay the first
-                # conjunct: or-gates are decision gates (X∧α)∨(¬X∧β)
-                implied = sorted(engine.trail[mark + 1:], key=abs)
-                if trace is not None:
-                    trace.branch(literal, implied)
-                guards = [self.manager.literal(lit)
-                          for lit in [literal] + implied]
-                parts = self._ct_parts(comp_indices, engine, clauses)
-                branches.append(self.manager.conjoin(*(guards + parts)))
-            else:
-                if trace is not None:
-                    trace.branch_conflict(literal)
-                branches.append(self.manager.conjoin(
-                    self.manager.literal(literal), self.manager.false()))
-            engine.undo_to(mark)
-        node = self.manager.disjoin(*branches)
-        if trace is not None:
-            pid = trace.end_component()
-            if key is not None:
-                self._proof_ids[key] = pid
-        if key is not None:
-            if self._active_budget is not None:
-                self._active_budget.charge_cache()
-            self.cache[key] = node
-        return node
-
-    def _pick_trail(self, comp_vars: List[int], occ) -> int:
-        if self.priority:
-            prioritized = [v for v in comp_vars if v in self.priority]
-            if prioritized:
-                return min(prioritized, key=lambda v: self.priority[v])
-        # all occurrences of a component variable lie inside the
-        # component, so the shared occurrence lists are its scores
-        return max(comp_vars, key=lambda v: (len(occ[v]), -v))
-
-    # -- clause-list search (the measurable legacy baseline) -------------------
-    def _compile(self, clauses: List[Clause]) -> NnfNode:
-        implied, residual = self._unit_propagate(clauses)
-        if residual is None:
-            return self.manager.false()
-        guards = [self.manager.literal(lit) for lit in sorted(
-            implied, key=abs)]
-        if not residual:
-            return self.manager.conjoin(*guards)
-        if self.use_components:
-            parts = split_components(residual, self.stats)
-        else:
-            parts = [residual]
-        compiled = [self._compile_component(part) for part in parts]
-        return self.manager.conjoin(*(guards + compiled))
-
-    def _compile_component(self, clauses: List[Clause]) -> NnfNode:
-        key: Optional[Hashable] = None
-        if self.use_cache:
-            key = component_key(clauses, self.cache_mode)
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                self.stats.incr("cache_hits")
-                return hit
-        if self._active_budget is not None:
-            self._active_budget.tick()
-        var = self._pick_variable(clauses)
-        self.decisions += 1
-        self.stats.incr("decisions")
-        branches = []
-        for value in (True, False):
-            literal = var if value else -var
-            conditioned = self._condition(clauses, var, value)
-            if conditioned is None:
-                sub = self.manager.false()
-            else:
-                sub = self._compile(conditioned)
-            branches.append(self.manager.conjoin(
-                self.manager.literal(literal), sub))
-        node = self.manager.disjoin(*branches)
-        if key is not None:
-            self.cache[key] = node
-        return node
-
-    # -- helpers ---------------------------------------------------------------
-    def _unit_propagate(self, clauses: List[Clause]
-                        ) -> Tuple[List[int], Optional[List[Clause]]]:
-        """Returns (implied literals, residual clauses) or (_, None) on
-        conflict.  The residual mentions no implied variable."""
-        return self._unit_propagate_legacy(clauses, self.stats)
-
-    @staticmethod
-    def _unit_propagate_legacy(clauses: List[Clause],
-                               stats: Counter | None = None
-                               ) -> Tuple[List[int],
-                                          Optional[List[Clause]]]:
-        """The seed propagator: re-scans every clause per round."""
-        implied: Dict[int, bool] = {}
-        current = clauses
-        while True:
-            if stats is not None:
-                stats.incr("clause_visits", len(current))
-            units = [c[0] for c in current if len(c) == 1]
-            if not units:
-                return ([v if val else -v for v, val in implied.items()],
-                        current)
-            for lit in units:
-                var, value = abs(lit), lit > 0
-                if implied.get(var, value) != value:
-                    return ([], None)
-                implied[var] = value
-                if stats is not None:
-                    stats.incr("propagations")
-            reduced: List[Clause] = []
-            for clause in current:
-                satisfied = False
-                kept: List[int] = []
-                for lit in clause:
-                    var = abs(lit)
-                    if var in implied:
-                        if implied[var] == (lit > 0):
-                            satisfied = True
-                            break
-                    else:
-                        kept.append(lit)
-                if satisfied:
-                    continue
-                if not kept:
-                    return ([], None)
-                reduced.append(tuple(kept))
-            current = reduced
-
-    def _pick_variable(self, clauses: List[Clause]) -> int:
-        counts: Dict[int, int] = {}
-        for clause in clauses:
-            for lit in clause:
-                counts[abs(lit)] = counts.get(abs(lit), 0) + 1
-        if self.priority:
-            prioritized = [v for v in counts if v in self.priority]
-            if prioritized:
-                return min(prioritized, key=lambda v: self.priority[v])
-        return max(counts, key=lambda v: (counts[v], -v))
-
-    @staticmethod
-    def _condition(clauses: List[Clause], var: int, value: bool
-                   ) -> Optional[List[Clause]]:
-        # satisfied clauses are dropped first, so the remaining
-        # occurrences of `var` are exactly the false literal — tuple
-        # containment scans at C level
-        true_lit = var if value else -var
-        false_lit = -true_lit
-        result: List[Clause] = []
-        for clause in clauses:
-            if true_lit in clause:
-                continue
-            if false_lit in clause:
-                reduced = tuple(lit for lit in clause if lit != false_lit)
-                if not reduced:
-                    return None
-                result.append(reduced)
-            else:
-                result.append(clause)
-        return result
 
 
 def compile_cnf(cnf: Cnf, manager: NnfManager | None = None,

@@ -2,9 +2,9 @@
 
 Darwiche, *On the Tractable Counting of Theory Models* (2000): a
 partial decomposition of a CNF still yields sound model-count bounds.
-This module is that idea as a graceful-degradation mode — the same
-trail-based component search the exact engines run, except every
-recursive result is an *interval* ``(lower, upper)``:
+This module is that idea as a graceful-degradation mode — the search
+of :mod:`repro.sat.search`, the one the exact engines run, read through
+*intervals* ``(lower, upper)``:
 
 * a conflict contributes ``(0, 0)``; a fully satisfied scope ``(1, 1)``
   (times the free-variable factor);
@@ -23,26 +23,26 @@ exact count.  The weighted variant requires non-negative literal
 weights (the usual WMC setting) — soundness of the trivial upper bound
 ``Π (W(v) + W(-v))`` depends on it.
 
-Exhaustion is detected with the non-raising :meth:`Budget.charge`, so
-injected faults (deadline skew, allocation failure at the Nth node —
-see :mod:`repro.limits.faults`) degrade into wider bounds instead of
-crashing the query.
+The budget rule is the exact engines': one node per decision, and a
+cache hit costs nothing, so a budget of as many nodes as the exact
+counter makes decisions gives the exact count.  Only point intervals are
+memoised, one cache entry each.  Exhaustion of any kind — nodes,
+deadline, the cache cap, injected faults (deadline skew, allocation
+failure at the Nth node — see :mod:`repro.limits.faults`) — widens the
+bounds and never raises.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Set
 
 from ..logic.cnf import Cnf
-from ..sat.components import trail_components
-from ..sat.propagation import TrailPropagator
+from ..sat.search import Algebra, TrailSearch
 from .budget import Budget, resolve_budget
 
 __all__ = ["AnytimeResult", "anytime_count", "anytime_wmc"]
-
-Clause = Tuple[int, ...]
 
 
 @dataclass
@@ -77,31 +77,22 @@ class AnytimeResult:
                 "elapsed_s": round(self.elapsed_s, 6)}
 
 
-class _IntervalSearch:
-    """One anytime run: trail-based component search over intervals."""
+class _Intervals(Algebra):
+    """Certified intervals ``(lower, upper)`` of the (weighted) count."""
 
-    def __init__(self, clauses: List[Clause], num_vars: int,
-                 weights: Optional[Mapping[int, float]],
-                 budget: Optional[Budget]):
-        self.clauses = clauses
-        self.num_vars = num_vars
+    bounded = True
+
+    def __init__(self, cnf: Cnf, weights: Optional[Mapping[int, float]]):
         self.weights = weights
-        self.budget = budget
         self.reason: Optional[str] = None
-        self.decisions = 0
-        self.nodes = 0
-        # cache only point intervals: they are exact component counts
-        # (a bailed subtree never produces one unless its upper bound
-        # is 0, which is exact too)
-        self.cache: Dict[Tuple, object] = {}
         self.one = 1 if weights is None else 1.0
-        self.zero = 0 if weights is None else 0.0
-        self.engine = TrailPropagator(
-            clauses, max((abs(lit) for c in clauses for lit in c),
-                         default=0))
+        zero = 0 if weights is None else 0.0
+        self.zero = (zero, zero)
+        self.mentioned = {abs(lit) for c in cnf.clauses for lit in c}
+        self.unmentioned = [v for v in range(1, cnf.num_vars + 1)
+                            if v not in self.mentioned]
 
-    # -- weight strategy -----------------------------------------------------
-    def _full(self, variables):
+    def _full(self, variables: Collection[int]):
         """Total mass of an unconstrained scope: 2 (or W(v)+W(-v)) per
         variable — the trivial upper bound of an unexplored component
         and the exact factor of a free one."""
@@ -123,72 +114,40 @@ class _IntervalSearch:
             value *= weights[lit]
         return value
 
-    # -- search --------------------------------------------------------------
-    def run(self) -> Tuple[object, object]:
-        if any(len(c) == 0 for c in self.clauses):
-            return self.zero, self.zero
-        mentioned = {abs(lit) for c in self.clauses for lit in c}
-        unmentioned = [v for v in range(1, self.num_vars + 1)
-                       if v not in mentioned]
-        engine = self.engine
-        if not engine.assert_root():
-            return self.zero, self.zero
-        prefix = self._term(engine.trail) * self._full(unmentioned)
-        scope = mentioned - {abs(lit) for lit in engine.trail}
-        lo, hi = self._parts(range(len(self.clauses)), scope)
-        return prefix * lo, prefix * hi
-
-    def _parts(self, indices, scope: Set[int]) -> Tuple[object, object]:
-        components, occ = trail_components(self.clauses, indices,
-                                           self.engine.values, True)
+    def conjoin(self, decision, implied, parts, scope, components):
         lo = hi = self.one
         counted: Set[int] = set()
-        for comp_indices, comp_vars in components:
+        for (clo, chi), (_, comp_vars) in zip(parts, components):
             counted.update(comp_vars)
-            clo, chi = self._component(comp_indices, comp_vars, occ)
             lo *= clo
             hi *= chi
-            if hi == 0:  # upper bound 0 is exact: no models here
-                return self.zero, self.zero
-        factor = self._full(scope - counted)
-        return lo * factor, hi * factor
+        if decision is None:  # the root
+            term = self._term(implied) * self._full(self.unmentioned)
+            free = self.mentioned - {abs(lit) for lit in implied}
+        else:
+            assigned = [decision, *implied]
+            term = self._term(assigned)
+            free = set(scope) - {abs(lit) for lit in assigned}
+        factor = self._full(free - counted)
+        return term * (lo * factor), term * (hi * factor)
 
-    def _component(self, comp_indices: List[int], comp_vars: List[int],
-                   occ) -> Tuple[object, object]:
-        budget = self.budget
-        if budget is not None:
-            reason = budget.charge(1)
-            if reason is not None:
-                # out of budget: this component stays unexplored and
-                # contributes the trivial (still sound) interval
-                self.reason = reason
-                return self.zero, self._full(comp_vars)
-        self.nodes += 1
-        key = (tuple(comp_indices), tuple(sorted(comp_vars)))
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        var = max(comp_vars, key=lambda v: (len(occ[v]), -v))
-        self.decisions += 1
-        comp_set = set(comp_vars)
-        engine = self.engine
-        lo = hi = self.zero
-        for value in (False, True):
-            literal = var if value else -var
-            mark = len(engine.trail)
-            if engine.condition(literal):
-                # propagation stays inside the component, so the trail
-                # delta is exactly the component variables decided here
-                assigned = engine.trail[mark:]
-                term = self._term(assigned)
-                sub_scope = comp_set - {abs(lit) for lit in assigned}
-                slo, shi = self._parts(comp_indices, sub_scope)
-                lo += term * slo
-                hi += term * shi
-            engine.undo_to(mark)
-        if lo == hi:
-            self.cache[key] = (lo, hi)
-        return lo, hi
+    def disjoin(self, high, low):
+        return high[0] + low[0], high[1] + low[1]
+
+    def absorbing(self, value) -> bool:
+        return value[1] == 0  # an upper bound of 0 is exact
+
+    def cacheable(self, value) -> bool:
+        # only point intervals are exact component counts (a bailed
+        # subtree never produces one unless its upper bound is 0,
+        # which is exact too)
+        return value[0] == value[1]
+
+    def cut(self, reason: str, variables: List[int]):
+        # out of budget: this component stays unexplored and
+        # contributes the trivial (still sound) interval
+        self.reason = reason
+        return self.zero[0], self._full(variables)
 
 
 def _run(cnf: Cnf, weights: Optional[Mapping[int, float]],
@@ -201,12 +160,15 @@ def _run(cnf: Cnf, weights: Optional[Mapping[int, float]],
                     f"anytime WMC needs non-negative weights; "
                     f"variable {var} has a negative one")
     start = time.perf_counter()
-    search = _IntervalSearch(list(cnf.clauses), cnf.num_vars, weights,
-                             budget)
+    algebra = _Intervals(cnf, weights)
+    search = TrailSearch(cnf, algebra, cache_mode="exact", budget=budget)
     lower, upper = search.run()
-    return AnytimeResult(lower=lower, upper=upper, reason=search.reason,
-                         decisions=search.decisions, nodes=search.nodes,
-                         elapsed_s=time.perf_counter() - start)
+    stats = search.stats
+    return AnytimeResult(
+        lower=lower, upper=upper, reason=algebra.reason,
+        decisions=stats["decisions"],
+        nodes=stats["decisions"] + stats["cache_hits"],
+        elapsed_s=time.perf_counter() - start)
 
 
 def anytime_count(cnf: Cnf,

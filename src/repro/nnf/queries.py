@@ -14,9 +14,7 @@ All single-pass queries run on the dense-array engine of
 on its manager) and repeated queries reuse its precomputed topological
 order and or-gate gap data.  The seed's dict-per-call implementations
 survive in :mod:`repro.nnf.queries_legacy` as the benchmark baseline
-and cross-check reference; set ``REPRO_LEGACY=1`` (see
-:mod:`repro.compat`) to route the scalar queries back through them.
-Each query takes an optional ``stats``
+and cross-check reference.  Each query takes an optional ``stats``
 :class:`~repro.perf.instrument.Counter` that accumulates a
 ``nodes_visited`` count.
 """
@@ -28,16 +26,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from ..perf.instrument import Counter
 from .kernel import get_kernel, pack_assignment_batch, pack_weight_batch
 from .node import NnfNode
-
-
-def _legacy():
-    """The seed implementations, when ``REPRO_LEGACY`` routes to them
-    (see :mod:`repro.compat`)."""
-    from ..compat import legacy_enabled
-    if legacy_enabled():
-        from . import queries_legacy
-        return queries_legacy
-    return None
 
 __all__ = ["is_satisfiable_dnnf", "sat_model_dnnf", "model_count",
            "weighted_model_count", "weighted_model_count_batch",
@@ -51,9 +39,6 @@ Weights = Mapping[int, float]
 def is_satisfiable_dnnf(root: NnfNode,
                         stats: Counter | None = None) -> bool:
     """SAT on a DNNF circuit — linear time [22]; unlocks NP."""
-    legacy = _legacy()
-    if legacy is not None:
-        return legacy.is_satisfiable_dnnf(root)
     return get_kernel(root).sat(stats)
 
 
@@ -61,9 +46,6 @@ def sat_model_dnnf(root: NnfNode, stats: Counter | None = None
                    ) -> Optional[Dict[int, bool]]:
     """A satisfying assignment of a DNNF circuit (partial: only the
     variables that matter are set), or None if unsatisfiable."""
-    legacy = _legacy()
-    if legacy is not None:
-        return legacy.sat_model_dnnf(root)
     return get_kernel(root).sat_model(stats)
 
 
@@ -73,9 +55,6 @@ def model_count(root: NnfNode,
     """#SAT on a d-DNNF circuit (Fig 8) — requires decomposability and
     determinism.  ``variables`` widens the count to a superset of the
     circuit variables (each absent variable doubles the count)."""
-    legacy = _legacy()
-    if legacy is not None:
-        return legacy.model_count(root, variables)
     kernel = get_kernel(root)
     result = kernel.model_count(stats)
     if variables is not None:
@@ -96,9 +75,6 @@ def weighted_model_count(root: NnfNode, weights: Weights,
     or-gate's child contribute a factor W(v) + W(-v); likewise variables
     in ``variables`` that are absent from the whole circuit.
     """
-    legacy = _legacy()
-    if legacy is not None:
-        return legacy.weighted_model_count(root, weights, variables)
     kernel = get_kernel(root)
     result = kernel.wmc(weights, stats)
     if variables is not None:
@@ -234,9 +210,6 @@ def mpe(root: NnfNode, weights: Weights,
         ) -> Tuple[float, Dict[int, bool]]:
     """Most probable explanation on a d-DNNF: max-product upward pass
     plus traceback.  Returns (max weight, maximising assignment)."""
-    legacy = _legacy()
-    if legacy is not None:
-        return legacy.mpe(root, weights, variables)
     if variables is None:
         variables = sorted(root.variables())
     value, assignment = get_kernel(root).mpe(weights, stats)
@@ -257,9 +230,6 @@ def marginal_counts(root: NnfNode,
     computed with the upward/downward differential passes of [23, 25] —
     all marginals in time linear in the circuit size.
     """
-    legacy = _legacy()
-    if legacy is not None:
-        return legacy.marginal_counts(root, variables)
     if variables is None:
         variables = sorted(root.variables())
     kernel = get_kernel(root)
@@ -285,9 +255,6 @@ def condition_evaluate(root: NnfNode, evidence: Mapping[int, bool],
     literals inconsistent with evidence weigh 0, consistent ones keep
     their weight.  Requires smooth d-DNNF for exactness on gaps covered
     by evidence; unset variables behave as in weighted_model_count."""
-    legacy = _legacy()
-    if legacy is not None:
-        return legacy.condition_evaluate(root, evidence, weights)
     adjusted = dict(weights)
     for var, value in evidence.items():
         adjusted[var] = weights[var] if value else 0.0

@@ -12,9 +12,7 @@ two modules share the same signatures and semantics.
 
 .. deprecated::
    Do not call these from new code — they exist for cross-checking and
-   benchmarking only.  All legacy paths are consolidated behind
-   :mod:`repro.compat`; set ``REPRO_LEGACY=1`` to route the front-door
-   queries through them process-wide.
+   benchmarking only.
 """
 
 from __future__ import annotations

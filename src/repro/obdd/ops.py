@@ -91,11 +91,8 @@ def model_count(node: ObddNode,
     Runs on the shared IR kernel (:mod:`repro.ir`): the OBDD lowers
     once (cached on its manager) and the kernel's gap-aware counting
     pass replaces the level-gap scheme of the seed — which survives as
-    :func:`model_count_legacy` (``REPRO_LEGACY=1`` routes back to it).
+    :func:`model_count_legacy`.
     """
-    from ..compat import legacy_enabled
-    if legacy_enabled():
-        return model_count_legacy(node, variables)
     manager = node.manager
     if variables is None:
         variables = manager.var_order
@@ -113,7 +110,7 @@ def model_count_legacy(node: ObddNode,
     """The seed counting pass: one value per node, normalized to the
     variable-order tail, scaled across level gaps by shifting.
 
-    .. deprecated:: access via :mod:`repro.compat`; kept as the
+    .. deprecated:: not for new call sites; kept as the
        cross-check reference and benchmark baseline.
     """
     manager = node.manager
@@ -155,9 +152,6 @@ def weighted_model_count(node: ObddNode, weights: Mapping[int, float],
     IR-kernel backed like :func:`model_count`; the seed's span-weight
     pass survives as :func:`weighted_model_count_legacy`.
     """
-    from ..compat import legacy_enabled
-    if legacy_enabled():
-        return weighted_model_count_legacy(node, weights, variables)
     manager = node.manager
     if variables is None:
         variables = manager.var_order
@@ -174,7 +168,7 @@ def weighted_model_count_legacy(node: ObddNode,
                                 ) -> float:
     """The seed WMC pass (span-weight level-gap scheme).
 
-    .. deprecated:: access via :mod:`repro.compat`; kept as the
+    .. deprecated:: not for new call sites; kept as the
        cross-check reference and benchmark baseline.
     """
     manager = node.manager

@@ -32,12 +32,8 @@ def marginal(root: PsddNode, evidence: Mapping[int, bool]) -> float:
     parameter vector is re-read from the live nodes per call — in-place
     θ updates are always reflected.  Evidence becomes literal weights
     (set variable → 1/0, unset → 1/1).  The seed's recursive traversal
-    survives as :func:`marginal_legacy` (``REPRO_LEGACY=1`` routes back
-    to it).
+    survives as :func:`marginal_legacy`.
     """
-    from ..compat import legacy_enabled
-    if legacy_enabled():
-        return marginal_legacy(root, evidence)
     from ..ir import ir_kernel, psdd_to_ir
     ir, params = psdd_to_ir(root)
     weights: Dict[int, float] = {}
@@ -53,7 +49,7 @@ def marginal(root: PsddNode, evidence: Mapping[int, bool]) -> float:
 def marginal_legacy(root: PsddNode, evidence: Mapping[int, bool]) -> float:
     """The seed MAR traversal (dict-per-call recursion).
 
-    .. deprecated:: access via :mod:`repro.compat`; kept as the
+    .. deprecated:: not for new call sites; kept as the
        cross-check reference and benchmark baseline.
     """
     cache: Dict[int, float] = {}
@@ -138,9 +134,6 @@ def variable_marginals(root: PsddNode) -> Dict[int, float]:
     sum of the leaf distributions over X — |vars| evaluations collapse
     into a single traversal.
     """
-    from ..compat import legacy_enabled
-    if legacy_enabled():
-        return variable_marginals_legacy(root)
     order = root.descendants()
     derivative: Dict[int, float] = {node.id: 0.0 for node in order}
     derivative[root.id] = 1.0
@@ -173,7 +166,7 @@ def variable_marginals_legacy(root: PsddNode) -> Dict[int, float]:
     the reference implementation :func:`variable_marginals` is
     cross-checked against.
 
-    .. deprecated:: access via :mod:`repro.compat`; kept as the
+    .. deprecated:: not for new call sites; kept as the
        cross-check reference and benchmark baseline.
     """
     return {var: marginal_legacy(root, {var: True})

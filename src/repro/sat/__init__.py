@@ -1,20 +1,23 @@
 """SAT solving and exact model counting.
 
+:mod:`repro.sat.search` holds the one exhaustive component search;
+:class:`ModelCounter` reads it as a model count, and the Decision-DNNF
+compiler (:mod:`repro.compile`) and the anytime bounds
+(:mod:`repro.limits.anytime`) read it as a circuit and as certified
+intervals.
+
 The seed baselines (``solve_legacy``, ``unit_propagate_legacy``) are
-deliberately *not* re-exported here: production code reaches them only
-through :mod:`repro.compat` (enforced by ``tools/lint_invariants.py``);
-benchmarks and tests import :mod:`repro.sat.dpll` or the compat shim
-directly.
+deliberately *not* re-exported here: they are test oracles, which tests
+and benchmarks import from :mod:`repro.sat.dpll`, and production code
+imports no ``*_legacy`` name at module level (enforced by
+``tools/lint_invariants.py``).
 """
 
 from .dpll import enumerate_models, is_satisfiable, solve, unit_propagate
 from .propagation import WatchedSolver, propagate_implied, propagate_watched
-from .components import occurrence_index, split_components
-from .counter import (CountContext, ModelCounter, component_key,
-                      count_models)
+from .counter import ModelCounter, count_models
 
 __all__ = ["enumerate_models", "is_satisfiable", "solve",
            "unit_propagate", "WatchedSolver",
-           "propagate_implied", "propagate_watched", "occurrence_index",
-           "split_components", "CountContext", "ModelCounter",
-           "component_key", "count_models"]
+           "propagate_implied", "propagate_watched", "ModelCounter",
+           "count_models"]

@@ -4,85 +4,18 @@ If the clause/variable incidence graph of a CNF splits into independent
 components, its model count is the product of the components' counts.
 This is the decomposition rule at the heart of sharpSAT-style counters
 and of the d-DNNF compilers built on their traces (Section 3, [38]).
-
-The split walks the incidence graph through an explicit
-clause→variable / variable→clause occurrence index, visiting every
-clause and every literal occurrence exactly once — near-linear in the
-formula size, where the seed's union-find paid path-compression
-overhead per occurrence.  Output (component order and clause order
-inside a component) is identical to the seed implementation: components
-sorted by their smallest variable, clauses in original order.
+:func:`trail_components` is that split for the trail search of
+:mod:`repro.sat.search`: it reads the residual off the trail's
+assignment and never materialises a clause.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..perf.instrument import Counter
-
-__all__ = ["split_components", "occurrence_index", "trail_components"]
+__all__ = ["trail_components"]
 
 Clause = Tuple[int, ...]
-
-
-def occurrence_index(clauses: Sequence[Clause]
-                     ) -> Dict[int, List[int]]:
-    """Variable → indices of the clauses that mention it.
-
-    A clause mentioning a variable several times appears that many
-    times in the variable's list; consumers that need distinct clauses
-    (like the component walk) already guard with a visited set, and
-    skipping per-clause deduplication keeps the build a single pass.
-    """
-    occ: Dict[int, List[int]] = {}
-    setdefault = occ.setdefault
-    for ci, clause in enumerate(clauses):
-        for lit in clause:
-            setdefault(lit if lit > 0 else -lit, []).append(ci)
-    return occ
-
-
-def split_components(clauses: Sequence[Clause],
-                     stats: Counter | None = None) -> List[List[Clause]]:
-    """Partition clauses into variable-connected components.
-
-    Two clauses are connected when they share a variable.  Returns the
-    list of components (each a list of clauses), in a deterministic
-    order (by smallest variable in the component).
-    """
-    if not clauses:
-        return []
-    occ = occurrence_index(clauses)
-    visited = [False] * len(clauses)
-    components: Dict[int, List[int]] = {}  # min variable -> clause indices
-    for start in range(len(clauses)):
-        if visited[start]:
-            continue
-        visited[start] = True
-        member: List[int] = []
-        stack = [start]
-        seen_vars: set[int] = set()
-        while stack:
-            ci = stack.pop()
-            member.append(ci)
-            for lit in clauses[ci]:
-                var = abs(lit)
-                if var in seen_vars:
-                    continue
-                seen_vars.add(var)
-                for cj in occ[var]:
-                    if not visited[cj]:
-                        visited[cj] = True
-                        stack.append(cj)
-        member.sort()  # restore original clause order
-        # an empty clause forms its own variable-free component
-        root = min(seen_vars) if seen_vars else -(start + 1)
-        components[root] = member
-    if stats is not None:
-        stats.incr("component_splits")
-        stats.incr("components_found", len(components))
-    return [[clauses[ci] for ci in components[root]]
-            for root in sorted(components)]
 
 
 def trail_components(clauses: Sequence[Clause], indices,
@@ -91,9 +24,7 @@ def trail_components(clauses: Sequence[Clause], indices,
                                 Dict[int, List[int]]]:
     """Fused active-clause scan and component walk over clause *indices*.
 
-    This is the hot-path variant of :func:`split_components` used by the
-    trail-based engines (sharpSAT-style counter and compiler): nothing
-    is materialised.  ``indices`` names the candidate clauses,
+    Nothing is materialised.  ``indices`` names the candidate clauses,
     ``values`` is the trail's 1-indexed variable assignment
     (``True``/``False``/``None``).  One pass drops satisfied clauses,
     collects the free literals of the rest, and builds the

@@ -6,19 +6,14 @@ components, and memoisation of component counts.  ``ModelCounter``
 exposes switches for both optimisations so the ABL2 benchmark can
 measure their effect.
 
-Performance-relevant choices (see ``docs/performance.md``):
-
-* propagation runs on the two-watched-literal engine
-  (:mod:`repro.sat.propagation`); ``propagator="legacy"`` selects the
-  seed clause-rescan propagator as a benchmark baseline;
-* component cache keys are cheap order-independent 128-bit hashes of
-  the residual clause set (``cache_mode="hash"``) instead of
-  ``frozenset`` materialisations; ``cache_mode="exact"`` restores the
-  collision-free frozenset keys as a correctness fallback;
-* each :meth:`ModelCounter.count` call works against a private
-  :class:`CountContext`, so one counter instance is re-entrant and can
-  serve concurrent callers; ``cache_hits`` / ``decisions`` / ``stats``
-  report the most recently *completed* call.
+The search is :class:`repro.sat.search.TrailSearch`, the one the
+Decision-DNNF compiler and the anytime bounds run; the counter reads it
+through integers: components multiply, decision branches add, and a
+variable left free in a scope doubles the count.  Each
+:meth:`ModelCounter.count` call runs a search of its own, so one
+counter instance is re-entrant and can serve concurrent callers;
+``cache`` / ``cache_hits`` / ``decisions`` / ``stats`` report the most
+recently *completed* call.
 
 The count is always over variables ``1..num_vars`` of the input CNF:
 variables that never occur in a clause contribute a factor of two each.
@@ -26,69 +21,39 @@ variables that never occur in a clause contribute a factor of two each.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
-from ..limits.budget import Budget, BudgetExceeded, resolve_budget
+from ..limits.budget import Budget, resolve_budget
 from ..logic.cnf import Cnf
 from ..perf.instrument import Counter
-from .components import split_components, trail_components
-from .propagation import TrailPropagator
+from .search import Algebra, Component, TrailSearch
 
-__all__ = ["ModelCounter", "CountContext", "count_models",
-           "component_key"]
-
-Clause = Tuple[int, ...]
-
-_MASK64 = (1 << 64) - 1
-# CPython reserves -1 as the C-level hash error sentinel: hash(-1) ==
-# hash(-2) == -2, so the literal -1 must be remapped before clause
-# tuples are hashed or the clauses (-1,) and (-2,) collide.  Any value
-# far outside the literal range works.
-_NEG_ONE_STANDIN = 0x51_D1F3_F5F7
-
-_LANE_MULT = 0x9E3779B97F4A7C15
+__all__ = ["ModelCounter", "count_models"]
 
 
-def component_key(clauses: List[Clause], mode: str) -> Hashable:
-    """Cache key for a residual clause set.
+class _Counts(Algebra):
+    """Model counts: integers, shifted by the free variables."""
 
-    ``mode="exact"`` materialises the collision-free frozenset the seed
-    used.  ``mode="hash"`` combines per-clause hashes through two
-    commutative lanes (sum, and xor of an odd-multiplier image) plus
-    the clause count into a cheap canonical ~128-bit key:
-    order-independent like the frozenset, but O(1) memory and no set
-    materialisation.  CPython tuple hashes are xxHash-avalanched and
-    int-deterministic (no string salting), so the lanes are well mixed
-    and stable in-process.
-    """
-    if mode == "exact":
-        return frozenset(clauses)
-    acc_sum = 0
-    acc_xor = 0
-    for clause in clauses:
-        if -1 in clause:
-            clause = tuple(_NEG_ONE_STANDIN if lit == -1 else lit
-                           for lit in clause)
-        h = hash(clause)
-        acc_sum += h
-        acc_xor ^= (h * _LANE_MULT) & _MASK64
-    return (len(clauses), acc_sum & _MASK64, acc_xor)
+    zero = 0
+
+    def conjoin(self, decision: Optional[int], implied: Sequence[int],
+                parts: List[int], scope: Sequence[int],
+                components: List[Component]) -> int:
+        total = 1
+        for part in parts:
+            total *= part
+        free = len(scope) - len(implied) - (decision is not None) - \
+            sum(len(comp_vars) for _, comp_vars in components)
+        return total << free
+
+    def disjoin(self, high: int, low: int) -> int:
+        return high + low
+
+    def absorbing(self, value: int) -> bool:
+        return value == 0
 
 
-class CountContext:
-    """Per-call mutable state of one :meth:`ModelCounter.count` run.
-
-    Owning the cache and counters here (rather than on the counter
-    instance) is what makes counting re-entrant: concurrent calls on a
-    shared ``ModelCounter`` never see each other's cache or statistics.
-    """
-
-    __slots__ = ("cache", "stats", "budget")
-
-    def __init__(self, budget: Optional[Budget] = None):
-        self.cache: Dict[Hashable, int] = {}
-        self.stats = Counter()
-        self.budget = budget
+_COUNTS = _Counts()
 
 
 class ModelCounter:
@@ -103,17 +68,12 @@ class ModelCounter:
         Memoise counts of residual components.  Requires deterministic
         residuals, which unit propagation provides.
     cache_mode:
-        ``"hash"`` (default) keys the cache by a cheap canonical hash
-        of the residual; ``"exact"`` by the residual frozenset — the
+        ``"hash"`` (default) keys the cache by a cheap hash of the
+        residual; ``"exact"`` by the residual itself — the
         collision-free correctness fallback.
-    propagator:
-        ``"watched"`` (default) or ``"legacy"`` (seed clause-rescan
-        propagation, kept as a measurable baseline).  ``None`` defers
-        to :func:`repro.compat.default_propagator`, i.e. the
-        ``REPRO_LEGACY`` switch.
     budget:
         Optional :class:`~repro.limits.budget.Budget`; the counter
-        charges it one node per decision point and one cache entry per
+        charges it one node per decision and one cache entry per
         memoised component, raising
         :class:`~repro.limits.budget.BudgetExceeded` (with the
         decisions/cache counters so far in ``partial``) on exhaustion.
@@ -125,21 +85,14 @@ class ModelCounter:
 
     def __init__(self, use_components: bool = True, use_cache: bool = True,
                  cache_mode: str = "hash",
-                 propagator: str | None = None,
                  budget: Optional[Budget] = None):
-        if propagator is None:
-            from ..compat import default_propagator
-            propagator = default_propagator()
         if cache_mode not in ("hash", "exact"):
             raise ValueError(f"unknown cache_mode {cache_mode!r}")
-        if propagator not in ("watched", "legacy"):
-            raise ValueError(f"unknown propagator {propagator!r}")
         self.use_components = use_components
         self.use_cache = use_cache
         self.cache_mode = cache_mode
-        self.propagator = propagator
         self.budget = budget
-        self._last: CountContext = CountContext()
+        self._last = TrailSearch(Cnf([]), _COUNTS)
 
     # -- statistics of the most recently completed call --------------------
     @property
@@ -165,228 +118,23 @@ class ModelCounter:
         on exhaustion the raised :class:`BudgetExceeded` carries the
         partial search state (decisions, cache entries) in ``partial``.
         """
-        ctx = CountContext(resolve_budget(
-            budget if budget is not None else self.budget))
-        clauses = list(cnf.clauses)
+        search = TrailSearch(
+            cnf, _COUNTS, use_components=self.use_components,
+            use_cache=self.use_cache, cache_mode=self.cache_mode,
+            budget=resolve_budget(
+                budget if budget is not None else self.budget),
+            operation="count")
         try:
-            if any(len(c) == 0 for c in clauses):
-                return 0
-            mentioned = {abs(lit) for c in clauses for lit in c}
-            if self.propagator == "watched":
-                inner = self._count_trail(clauses, len(mentioned), ctx)
-            else:
-                inner = self._count(clauses, ctx)
-            free = cnf.num_vars - len(mentioned)
-            return inner << free if inner else 0
-        except BudgetExceeded as error:
-            error.partial.setdefault("operation", "count")
-            error.partial.setdefault("decisions", ctx.stats["decisions"])
-            error.partial.setdefault("cache_entries", len(ctx.cache))
-            raise
+            return search.run()
         finally:
-            self._last = ctx
-
-    # -- trail-based counting (the default, sharpSAT-style) -----------------
-    # One TrailPropagator is built per count() call; conditioning is an
-    # enqueue + propagation on persistent watch lists and unconditioning
-    # is a trail rewind.  No residual clause list is ever materialised:
-    # the search works on *clause indices* against the trail.  One fused
-    # pass per node classifies clauses (satisfied / active), collects
-    # their free literals and the variable→clause occurrence lists, and
-    # the component walk, the cache key and the branching heuristic all
-    # read off those structures directly.
-    def _count_trail(self, clauses: List[Clause], num_mentioned: int,
-                     ctx: CountContext) -> int:
-        engine = TrailPropagator(clauses, max(
-            (abs(lit) for c in clauses for lit in c), default=0), ctx.stats)
-        if not engine.assert_root():
-            return 0
-        return self._tc_parts(range(len(clauses)), num_mentioned,
-                              len(engine.trail), engine, clauses, ctx)
-
-    def _tc_parts(self, indices, scope_vars: int, assigned: int,
-                  engine: TrailPropagator, clauses: List[Clause],
-                  ctx: CountContext) -> int:
-        """Count over a ``scope_vars``-variable scope of which
-        ``assigned`` are already on the trail and ``indices`` names the
-        candidate clauses: drop satisfied ones, split the rest into
-        variable-connected components, multiply, shift by free vars."""
-        components, occ = trail_components(clauses, indices, engine.values,
-                                           self.use_components)
-        if not components:
-            return 1 << (scope_vars - assigned)
-        if self.use_components:
-            ctx.stats.incr("component_splits")
-            ctx.stats.incr("components_found", len(components))
-        total = 1
-        counted = 0
-        for comp_indices, comp_vars in components:
-            counted += len(comp_vars)
-            total *= self._tc_component(comp_indices, comp_vars, occ,
-                                        engine, clauses, ctx)
-            if total == 0:
-                return 0
-        return total << (scope_vars - assigned - counted)
-
-    def _tc_component(self, comp_indices: List[int], comp_vars: List[int],
-                      occ: Dict[int, List[int]], engine: TrailPropagator,
-                      clauses: List[Clause], ctx: CountContext) -> int:
-        key: Optional[Hashable] = None
-        if self.use_cache:
-            # (clause ids, free vars) fully determines the residual:
-            # every assigned literal of an unsatisfied clause is false,
-            # so the residual clause is exactly the restriction of
-            # clauses[ci] to the component variables.  "hash" keeps two
-            # 64-bit tuple hashes; "exact" the tuples themselves.
-            ids = tuple(comp_indices)
-            vrs = tuple(sorted(comp_vars))
-            key = ((hash(ids), hash(vrs))
-                   if self.cache_mode == "hash" else (ids, vrs))
-            cached = ctx.cache.get(key)
-            if cached is not None:
-                ctx.stats.incr("cache_hits")
-                return cached
-        # every occurrence of a component variable lies inside the
-        # component, so the shared occurrence lists double as scores
-        if ctx.budget is not None:
-            ctx.budget.tick()
-        var = max(comp_vars, key=lambda v: (len(occ[v]), -v))
-        ctx.stats.incr("decisions")
-        num_vars = len(comp_vars)
-        total = 0
-        for value in (False, True):
-            mark = len(engine.trail)
-            # propagation stays inside this component (its clauses are
-            # variable-connected), so the trail delta is the count of
-            # component variables assigned in this branch
-            if engine.condition(var if value else -var):
-                total += self._tc_parts(comp_indices, num_vars,
-                                        len(engine.trail) - mark,
-                                        engine, clauses, ctx)
-            engine.undo_to(mark)
-        if key is not None:
-            if ctx.budget is not None:
-                ctx.budget.charge_cache()
-            ctx.cache[key] = total
-        return total
-
-    # -- clause-list counting (the measurable legacy baseline) --------------
-    def _propagate(self, clauses: List[Clause], assignment: Dict[int, bool],
-                   ctx: CountContext) -> Optional[List[Clause]]:
-        from .dpll import unit_propagate_legacy
-        return unit_propagate_legacy(clauses, assignment, ctx.stats)
-
-    # The recursive count is over exactly the variables mentioned by the
-    # clause list it is given; callers account for free variables.
-    # Both _count and _count_component compute the same function — the
-    # model count of a clause set over its own variables — so they share
-    # one cache: a residual can hit *before* being propagated and split.
-    def _count(self, clauses: List[Clause], ctx: CountContext) -> int:
-        key: Optional[Hashable] = None
-        if self.use_cache and clauses:
-            key = component_key(clauses, self.cache_mode)
-            cached = ctx.cache.get(key)
-            if cached is not None:
-                ctx.stats.incr("cache_hits")
-                return cached
-        assignment: Dict[int, bool] = {}
-        reduced = self._propagate(clauses, assignment, ctx)
-        if reduced is None:
-            if key is not None:
-                ctx.cache[key] = 0
-            return 0
-        if reduced is clauses:  # fast path: propagation was a no-op
-            base = 1
-        else:
-            before = {abs(lit) for c in clauses for lit in c}
-            after = {abs(lit) for c in reduced for lit in c}
-            # variables silenced by propagation but not fixed are free
-            free = len(before) - len(after) - len(assignment)
-            base = 1 << free
-        if not reduced:
-            total = base
-        else:
-            if self.use_components:
-                parts = split_components(reduced, ctx.stats)
-            else:
-                parts = [reduced]
-            total = base
-            for part in parts:
-                total *= self._count_component(part, ctx)
-                if total == 0:
-                    total = 0
-                    break
-        if key is not None:
-            ctx.cache[key] = total
-        return total
-
-    def _count_component(self, clauses: List[Clause],
-                         ctx: CountContext) -> int:
-        key: Optional[Hashable] = None
-        if self.use_cache:
-            key = component_key(clauses, self.cache_mode)
-            cached = ctx.cache.get(key)
-            if cached is not None:
-                ctx.stats.incr("cache_hits")
-                return cached
-        if ctx.budget is not None:
-            ctx.budget.tick()
-        var = self._pick_variable(clauses)
-        ctx.stats.incr("decisions")
-        component_vars = {abs(lit) for c in clauses for lit in c}
-        total = 0
-        for value in (False, True):
-            branch = self._condition(clauses, var, value)
-            if branch is None:
-                continue
-            count = self._count(branch, ctx)
-            if not count:
-                continue
-            # _count is over variables mentioned by `branch`; variables of
-            # this component eliminated by the conditioning (beyond `var`
-            # itself) are free in this branch
-            branch_vars = {abs(lit) for c in branch for lit in c}
-            free = len(component_vars) - 1 - len(branch_vars)
-            total += count << free
-        if key is not None:
-            ctx.cache[key] = total
-        return total
-
-    @staticmethod
-    def _pick_variable(clauses: List[Clause]) -> int:
-        counts: Dict[int, int] = {}
-        for clause in clauses:
-            for lit in clause:
-                counts[abs(lit)] = counts.get(abs(lit), 0) + 1
-        return max(counts, key=lambda v: (counts[v], -v))
-
-    @staticmethod
-    def _condition(clauses: List[Clause], var: int, value: bool
-                   ) -> Optional[List[Clause]]:
-        # tuple containment is a C-level scan: much cheaper than per-
-        # literal abs() comparisons in the interpreter
-        true_lit = var if value else -var
-        false_lit = -true_lit
-        result: List[Clause] = []
-        for clause in clauses:
-            if true_lit in clause:
-                continue
-            if false_lit in clause:
-                reduced = tuple(lit for lit in clause if lit != false_lit)
-                if not reduced:
-                    return None
-                result.append(reduced)
-            else:
-                result.append(clause)
-        return result
+            self._last = search
 
 
 def count_models(cnf: Cnf, use_components: bool = True,
                  use_cache: bool = True, cache_mode: str = "hash",
-                 propagator: str | None = None,
                  budget: Optional[Budget] = None) -> int:
     """Convenience wrapper around :class:`ModelCounter`."""
     counter = ModelCounter(use_components=use_components,
                            use_cache=use_cache, cache_mode=cache_mode,
-                           propagator=propagator, budget=budget)
+                           budget=budget)
     return counter.count(cnf)

@@ -48,8 +48,8 @@ def unit_propagate_legacy(clauses: List[Clause], assignment: Assignment,
     Kept as the reference implementation for the cross-check suite and
     as the benchmark baseline.  Same contract as ``unit_propagate``.
 
-    .. deprecated:: access via :mod:`repro.compat`; not for new call
-       sites — ``REPRO_LEGACY=1`` selects it process-wide.
+    .. deprecated:: not for new call sites; kept as the cross-check
+       reference and benchmark baseline.
     """
     changed = True
     while changed:
@@ -161,8 +161,7 @@ def solve_legacy(cnf: Cnf, assumptions: Iterable[int] = ()
     lists and pure-literal elimination.  Reference implementation for
     the cross-check suite and the benchmark baseline.
 
-    .. deprecated:: access via :mod:`repro.compat`; not for new call
-       sites."""
+    .. deprecated:: not for new call sites."""
     assignment: Assignment = {}
     for lit in assumptions:
         var = abs(lit)

@@ -72,11 +72,8 @@ def model_count(node: SddNode, scope: Vtree | None = None) -> int:
     Runs on the shared IR kernel (:mod:`repro.ir`): the SDD lowers once
     (cached on its manager) and the kernel's gap-aware counting pass
     replaces the plan-based scheme of the seed — which survives as
-    :func:`model_count_legacy` (``REPRO_LEGACY=1`` routes back to it).
+    :func:`model_count_legacy`.
     """
-    from ..compat import legacy_enabled
-    if legacy_enabled():
-        return model_count_legacy(node, scope)
     manager: SddManager = node.manager
     if scope is None:
         scope = manager.vtree
@@ -93,7 +90,7 @@ def model_count(node: SddNode, scope: Vtree | None = None) -> int:
 def model_count_legacy(node: SddNode, scope: Vtree | None = None) -> int:
     """The seed plan-based counting pass (vtree-normalized values).
 
-    .. deprecated:: access via :mod:`repro.compat`; kept as the
+    .. deprecated:: not for new call sites; kept as the
        cross-check reference and benchmark baseline.
     """
     manager: SddManager = node.manager
@@ -135,9 +132,6 @@ def weighted_model_count(node: SddNode, weights: Mapping[int, float],
     IR-kernel backed like :func:`model_count`; the seed's plan-based
     pass survives as :func:`weighted_model_count_legacy`.
     """
-    from ..compat import legacy_enabled
-    if legacy_enabled():
-        return weighted_model_count_legacy(node, weights, scope)
     manager: SddManager = node.manager
     if scope is None:
         scope = manager.vtree
@@ -158,7 +152,7 @@ def weighted_model_count_legacy(node: SddNode,
                                 scope: Vtree | None = None) -> float:
     """The seed plan-based WMC pass.
 
-    .. deprecated:: access via :mod:`repro.compat`; kept as the
+    .. deprecated:: not for new call sites; kept as the
        cross-check reference and benchmark baseline.
     """
     manager: SddManager = node.manager

@@ -8,8 +8,10 @@ reference implementation and (b) brute-force enumeration:
   clause lists and implied assignments must be *identical*;
 * ``solve`` (iterative watched solver) vs ``solve_legacy`` — SAT
   verdicts agree and returned models actually satisfy the formula;
-* ``ModelCounter`` in every propagator/cache configuration vs brute
-  force vs counting on the compiled Decision-DNNF;
+* the one component search in every configuration vs brute force:
+  ``ModelCounter`` counts, counting on the compiled Decision-DNNF
+  (with and without components, cache or a priority order) and the
+  anytime intervals, exact unbudgeted and bracketing under caps;
 * dense-array kernel queries vs the seed recursive query module
   (``repro.nnf.queries_legacy``).
 
@@ -22,6 +24,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.compile.dnnf_compiler import DnnfCompiler
+from repro.limits import Budget, anytime_count
 from repro.logic.cnf import Cnf
 from repro.nnf import queries, queries_legacy
 from repro.perf import Counter
@@ -73,19 +76,26 @@ def test_solvers_agree(cnf):
 
 
 @settings(max_examples=40, deadline=None)
-@given(cnfs(max_var=14, max_clauses=24))
-def test_counters_and_compiler_agree_with_brute_force(cnf):
-    """Trail counter, legacy counter, and counting on the compiled
-    circuit all equal brute force — in every configuration."""
+@given(cnfs(max_var=14, max_clauses=24),
+       st.permutations(list(range(1, 15))))
+def test_counters_and_compiler_agree_with_brute_force(cnf, priority):
+    """The one search read through all three algebras — counts, the
+    compiled circuit, anytime intervals — agrees with brute force in
+    every configuration."""
     expected = brute_force_count(cnf)
     full = range(1, cnf.num_vars + 1)
-    for propagator in ("watched", "legacy"):
-        for cache_mode in ("hash", "exact"):
-            counter = ModelCounter(propagator=propagator,
-                                   cache_mode=cache_mode)
-            assert counter.count(cnf) == expected
-        root = DnnfCompiler(propagator=propagator).compile(cnf)
-        assert queries.model_count(root, full) == expected
+    for cache_mode in ("hash", "exact"):
+        counter = ModelCounter(cache_mode=cache_mode)
+        assert counter.count(cnf) == expected
+    for config in ({}, {"use_components": False}, {"use_cache": False},
+                   {"priority": priority}):
+        root = DnnfCompiler(**config).compile(cnf)
+        assert queries.model_count(root, full) == expected, config
+    exact = anytime_count(cnf)
+    assert exact.lower == exact.upper == expected
+    for cap in (1, 5, 25):
+        bounds = anytime_count(cnf, Budget(max_nodes=cap))
+        assert bounds.lower <= expected <= bounds.upper, cap
 
 
 @settings(max_examples=40, deadline=None)

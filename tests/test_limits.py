@@ -256,6 +256,26 @@ class TestAnytime:
         assert snapshot["exact"] is True
         assert snapshot["lower"] == snapshot["upper"] == "1"
 
+    def test_one_node_per_decision(self):
+        """The exact counter and the anytime bounds charge alike: one
+        node per decision, cache hits free — so a budget of exactly the
+        counter's decisions leaves the anytime count exact."""
+        for seed in range(40):
+            cnf = random_3cnf(20, 55, seed)
+            counter = ModelCounter()
+            exact = counter.count(cnf)
+            result = anytime_count(cnf, Budget(max_nodes=counter.decisions))
+            assert result.reason is None, seed
+            assert result.lower == result.upper == exact, seed
+            assert result.decisions == counter.decisions, seed
+
+    def test_cache_cap_degrades_without_raising(self):
+        for seed in range(10):
+            cnf = random_3cnf(20, 55, seed)
+            exact = ModelCounter().count(cnf)
+            result = anytime_count(cnf, Budget(max_cache_entries=1))
+            assert result.lower <= exact <= result.upper, seed
+
     def test_ambient_budget_governs_anytime(self):
         cnf = random_3cnf(20, 50, 3)
         with Budget(max_nodes=2).scope():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic import Cnf, exactly_one
 from repro.sat import (ModelCounter, count_models, enumerate_models,
-                       is_satisfiable, solve, split_components)
+                       is_satisfiable, solve)
 from repro.sat.dpll import unit_propagate
 
 
@@ -119,22 +119,6 @@ def test_count_empty_cnf():
 
 def test_count_empty_clause():
     assert count_models(Cnf([()], num_vars=4)) == 0
-
-
-def test_components_split():
-    parts = split_components([(1, 2), (2, 3), (4, 5), (6,)])
-    assert len(parts) == 3
-    sizes = sorted(len(p) for p in parts)
-    assert sizes == [1, 1, 2]
-
-
-def test_components_connected_through_shared_var():
-    parts = split_components([(1, 2), (3, 4), (2, 3)])
-    assert len(parts) == 1
-
-
-def test_components_empty():
-    assert split_components([]) == []
 
 
 def test_component_counting_multiplies():

@@ -3,14 +3,12 @@
 
 Seven rules, each guarding a deliberate architectural boundary:
 
-1. **legacy-isolation** — production modules must not import
-   ``repro.compat`` or any ``*_legacy`` name/module at module level.
-   The sanctioned pattern is a function-local import (the lazy
-   dispatch in ``repro.nnf.queries._legacy``), so the legacy baseline
-   stays reachable for benchmarks without ever being on a production
-   import path.  ``src/repro/compat.py`` itself and ``*_legacy``
-   modules are exempt; tests are not linted (``tools/`` and
-   ``benchmarks/`` are — see below).
+1. **legacy-isolation** — production modules must not import any
+   ``*_legacy`` name/module at module level.  The legacy baselines
+   are test oracles and benchmark baselines; a function-local import
+   keeps them reachable without ever putting them on a production
+   import path.  ``*_legacy`` modules are exempt; tests are not
+   linted (``tools/`` and ``benchmarks/`` are — see below).
 
 2. **clock-injection** — budget-governed modules (``repro.limits``,
    ``repro.sat``, ``repro.compile``, ``repro.ir``) must not call
@@ -123,17 +121,11 @@ def _is_legacy_name(name: str) -> bool:
 
 def check_legacy_isolation(path: Path, rel: str,
                            tree: ast.Module) -> Iterator[Violation]:
-    if rel == "compat.py" or _is_legacy_name(Path(rel).stem):
+    if _is_legacy_name(Path(rel).stem):
         return
     for node in _module_level_imports(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            if module == "compat" or module.endswith(".compat") or \
-                    module == "repro.compat":
-                yield (path, node.lineno, "legacy-isolation",
-                       "module-level import of repro.compat (use a "
-                       "function-local import for lazy dispatch)")
-                continue
             if _is_legacy_name(module):
                 yield (path, node.lineno, "legacy-isolation",
                        f"module-level import of legacy module "
@@ -146,8 +138,7 @@ def check_legacy_isolation(path: Path, rel: str,
                            f"{alias.name!r}")
         else:
             for alias in node.names:
-                if alias.name == "repro.compat" or \
-                        _is_legacy_name(alias.name):
+                if _is_legacy_name(alias.name):
                     yield (path, node.lineno, "legacy-isolation",
                            f"module-level import of {alias.name!r}")
 
