@@ -41,7 +41,7 @@ one process against its baseline:
   against the memoized ``.cert`` sidecar vs loads forced to re-run
   the property verifiers, plus the one-off certification cost;
 * ``codegen_kernel`` — scalar WMC / #SAT through the per-circuit
-  generated numpy evaluator (:mod:`repro.ir.codegen`) vs the
+  levelized numpy evaluator (:mod:`repro.ir.codegen`) vs the
   interpreted kernel loops on one large compiled circuit;
 * ``warm_mmap`` — warm artifact loads through the memory-mapped
   binary CSR sidecar vs the same loads forced onto the ``.nnf`` text
@@ -572,12 +572,12 @@ def scenario_verify_overhead(quick: bool):
 
 
 def scenario_codegen_kernel(quick: bool):
-    """Scalar WMC / #SAT through the generated-code backend
+    """Scalar WMC / #SAT through the levelized-evaluator backend
     (:mod:`repro.ir.codegen`) vs the interpreted kernel loops, on one
-    large compiled circuit.  The codegen compile happens once, untimed
-    (it is cached on the kernel and, with a store, on disk); the timed
-    region is pure evaluation.  52 variables keeps exact #SAT inside
-    the generated code's float64-exact range (2^52)."""
+    large compiled circuit.  The plan is built once, untimed (it is
+    cached on the kernel); the timed region is pure evaluation.  52
+    variables keeps exact #SAT inside the float64 passes'
+    exact-integer range (2^52)."""
     n, m, seed = (52, 128, 2)
     reps = 5 if quick else 25
     cnf = random_3cnf(n, m, seed)
@@ -593,7 +593,7 @@ def scenario_codegen_kernel(quick: bool):
             weights[v], weights[-v] = p, 1.0 - p
         weight_vectors.append(weights)
     kernel.set_backend("codegen")
-    kernel.wmc(weight_vectors[0])  # warm: plan + generate + compile
+    kernel.wmc(weight_vectors[0])  # warm: build the plan
     start = time.perf_counter()
     codegen_values = [kernel.wmc(w) for w in weight_vectors]
     for _ in range(reps):

@@ -10,7 +10,8 @@ the query gate that checks certified — not declared — properties.
   store);
 * :mod:`repro.analyze.gate` — query requirements, ``trust`` /
   ``strict`` / ``repair`` modes, :class:`~.gate.PropertyViolation`;
-* :mod:`repro.analyze.repair` — the smoothing auto-fix;
+* :func:`smooth_ir` — the smoothing auto-fix of the ``repair`` mode,
+  re-exported from :mod:`repro.ir.passes`;
 * :mod:`repro.analyze.obdd_check` — OBDD discipline on live node DAGs;
 * :mod:`repro.analyze.proofs` — the bridge to :mod:`repro.proof`:
   IR-side semantic digests, stored-proof verification, and the
@@ -25,7 +26,7 @@ from .gate import (GATE_ENV, GATE_MODES, REQUIREMENTS, ProofViolation,
 from .proofs import (clear_proved, ir_semantic_digest, is_proved,
                      mark_proved, verify_stored_proof)
 from .obdd_check import verify_obdd
-from .repair import smooth_ir
+from ..ir.passes import smooth_ir
 from .verify import (DEFAULT_MAX_VARS, FALSIFIED, PROPERTY_FLAGS, UNKNOWN,
                      VERIFIED, PropertyReport, Witness, evaluate_node,
                      implied_literals, verify_decomposable,

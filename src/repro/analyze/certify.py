@@ -148,7 +148,7 @@ class Certificate:
     def repaired_smooth(self) -> CircuitIR:
         """The smoothed twin of this certificate's IR (cached)."""
         if self._repaired is None:
-            from .repair import smooth_ir
+            from ..ir.passes import smooth_ir
             self._repaired = smooth_ir(self.ir)
         return self._repaired
 

@@ -18,7 +18,7 @@ Three modes (``REPRO_GATE`` env var or :func:`set_gate_mode` /
   a wrong count can be returned;
 * ``repair`` — like strict, but a circuit whose only failure is
   smoothness is transparently smoothed
-  (:func:`~.repair.smooth_ir`) and the query re-dispatched to the
+  (:func:`repro.ir.passes.smooth_ir`) and the query re-dispatched to the
   repaired kernel, which is re-certified rather than assumed fixed;
 * ``proved`` — the top of the trust ladder: everything ``repair``
   does, *plus* a verified equivalence proof (:mod:`repro.proof`)
@@ -27,7 +27,7 @@ Three modes (``REPRO_GATE`` env var or :func:`set_gate_mode` /
   (:mod:`repro.analyze.proofs`) raises :class:`ProofViolation` —
   certified properties say the circuit is well-behaved; only a proof
   says it is the *right* circuit.  (Smoothing repair is allowed
-  because :func:`~.repair.smooth_ir` is itself certified on the
+  because :func:`repro.ir.passes.smooth_ir` is itself certified on the
   repaired twin — the proof carries over by construction.)
 
 The gate lives under :meth:`IrKernel._gated`, so every front door

@@ -418,7 +418,6 @@ def _run_query(args: argparse.Namespace) -> int:
                                 store)
     from .nnf.kernel import get_kernel
     kernel = get_kernel(circuit)
-    kernel.codegen_store = store
     if getattr(args, "backend", None):
         kernel.set_backend(args.backend)
     variables = range(1, cnf.num_vars + 1)
@@ -466,7 +465,7 @@ def _query_optimized(args: argparse.Namespace, cnf: Cnf, circuit,
     out = facade.query_ir(
         result.ir, args.query, num_vars=cnf.num_vars,
         weights=weights if args.query in ("wmc", "mpe") else None,
-        forgotten=result.forgotten, codegen_store=store)
+        forgotten=result.forgotten)
     if args.query == "count":
         print(f"s mc {out['result']}")
     elif args.query == "sat":
@@ -494,8 +493,8 @@ def _query_optimized(args: argparse.Namespace, cnf: Cnf, circuit,
 
 def _print_backend_stats(kernel) -> None:
     """Evaluator-backend counters for ``repro query --stats``: which
-    backend answered, codegen source-cache traffic, and the
-    compile-vs-eval time split (see docs/performance.md)."""
+    backend answered, builds and fallbacks, and the build-vs-eval time
+    split (see docs/performance.md)."""
     print(f"c backend {kernel.backend_name()}")
     compiled = getattr(kernel, "_codegen", None)
     stats = getattr(compiled, "stats", None)
@@ -865,8 +864,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      required=True)
     cache_gc = cache_sub.add_parser(
         "gc", help="sweep the store for orphaned sidecars "
-                   "(.csr/.gen.py/.cert without a live artifact, "
-                   "stale .corrupt quarantines, tmp files)")
+                   "(.csr/.proof/.cert without a live artifact, "
+                   "stale .corrupt quarantines, tmp files) and "
+                   "the .gen.py sources older stores cached")
     cache_gc.add_argument("--cache-dir",
                           help="store directory (default "
                                "$REPRO_CACHE_DIR)")

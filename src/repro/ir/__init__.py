@@ -12,11 +12,11 @@ its properties.  This package makes that concrete:
 * :mod:`repro.ir.kernel` — :class:`IrKernel`, the single execution
   engine (sat / count / WMC / MPE / marginals, scalar and batched)
   every family's queries dispatch through;
-* :mod:`repro.ir.codegen` — the native-speed backend: per-circuit
-  generated numpy evaluators (levelized segment reductions), cached as
-  sealed source next to the circuit's ``.cert`` sidecar, selected by
-  ``$REPRO_BACKEND`` / :meth:`IrKernel.set_backend` with automatic
-  interpreter fallback (:class:`CodegenUnsupported`);
+* :mod:`repro.ir.codegen` — the native-speed backend: each circuit's
+  levelized plan (one numpy call per run of same-kind gates), built
+  in-process and run directly, selected by ``$REPRO_BACKEND`` /
+  :meth:`IrKernel.set_backend` with automatic interpreter fallback
+  (:class:`CodegenUnsupported`);
 * :mod:`repro.ir.lower` — lowerings ``*_to_ir`` from each family and
   the ``ir_to_nnf`` lifting;
 * :mod:`repro.ir.serialize` — canonical c2d ``.nnf`` and libsdd-style

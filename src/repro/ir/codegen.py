@@ -1,23 +1,21 @@
-"""Per-circuit compiled evaluators: the codegen backend of the kernel.
+"""Per-circuit levelized evaluators: the codegen backend of the kernel.
 
 The paper's bargain is *compile once, query fast many times* — but an
 interpreted Python loop over the CSR arrays pays per-node dispatch on
-every query.  This module walks the arrays **once per circuit digest**
-and emits a specialized straight-line numpy program: nodes are
-levelized and permuted so every run of same-kind gates at one depth
-becomes a single sliced segment reduction
-(``np.multiply.reduceat`` / ``np.add.reduceat`` /
-``np.maximum.reduceat`` / ``np.logaddexp.reduceat``) writing directly
-into a contiguous slice of the value vector.  One generated source
-serves scalar *and* batched calls (a value row per node), in linear
-and log space.
+every query.  This module walks the arrays **once per circuit** and
+builds a levelized plan: nodes are permuted so every run of same-kind
+gates at one depth is contiguous, and each run becomes one numpy call
+(a gather plus an elementwise ufunc, an axis-1 reduction or a
+``reduceat`` segment reduction) writing directly into a contiguous
+slice of the value vector.  Each forward pass — linear, log,
+max-product and boolean — binds the plan's steps to its semiring's
+ufuncs once; a query runs the bound steps in order.  One plan serves
+scalar *and* batched calls (a value row per node).
 
-The generated text is deterministic for a given circuit, sealed with a
-self-hash header, cached in the :class:`~repro.ir.store.ArtifactStore`
-next to the ``.cert`` sidecar under the same sha256 digest, and only
-ever turned into code through :func:`audited_compile` — the single
-``compile()`` entry point the invariant lint
-(``tools/lint_invariants.py``, rule ``audited-compile``) pins down.
+The evaluator is derived in-process from the circuit and nothing else:
+no source text is generated, the artifact store is neither read nor
+written, and no bytes reach ``compile``/``exec`` (the invariant lint's
+``no-exec`` rule, ``tools/lint_invariants.py``, bans them everywhere).
 
 Supported queries: sat, model count, WMC (scalar / batch / log-batch),
 MPE (vectorized upward pass + exact interpreter-style traceback) and
@@ -27,19 +25,17 @@ range, empty circuits — raises :class:`CodegenUnsupported` and the
 kernel falls back to the interpreter (see
 ``docs/architecture.md`` for the full fallback table).
 
-Budget charging does not bypass the governor: every generated function
-charges one kernel pass through the injected hook
-(:func:`repro.limits.budget.pass_charge_hook`) before touching the
+Budget charging does not bypass the governor: every forward pass
+charges one kernel pass (:meth:`IrKernel._charge`) before touching the
 arrays.
 """
 
 from __future__ import annotations
 
-import hashlib
+import operator
 import os
 import time
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from ..perf.instrument import Counter
 from .core import (KIND_AND, KIND_FALSE, KIND_LIT, KIND_OR, KIND_PARAM,
@@ -47,22 +43,14 @@ from .core import (KIND_AND, KIND_FALSE, KIND_LIT, KIND_OR, KIND_PARAM,
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kernel import IrKernel
-    from .store import ArtifactStore
 
 __all__ = ["BACKEND_ENV", "BACKENDS", "CodegenUnsupported",
-           "resolve_backend", "generate_source", "audited_compile",
-           "check_source", "CompiledCircuit", "compile_circuit"]
+           "resolve_backend", "CompiledCircuit", "compile_circuit"]
 
 #: environment variable selecting the default kernel backend
 BACKEND_ENV = "REPRO_BACKEND"
 
 BACKENDS = ("codegen", "interp")
-
-#: first-line schema tag of a sealed generated source; the version
-#: names the emission contract — bumped when the generated text's shape
-#: changes, so stale cached sources regenerate instead of being reused
-SOURCE_SCHEMA = "repro-codegen/2"
-_SOURCE_SCHEMA_FAMILY = "repro-codegen/"
 
 #: model counts are run through the float64 pipeline only while every
 #: intermediate is an exact integer: counts are bounded by 2**|vars|,
@@ -101,14 +89,20 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
 
 # -- plan construction --------------------------------------------------------
 
+#: one contiguous run of same-kind gates: (is OR, output slice, arity
+#: or 0 when mixed, child positions, segment offsets of a mixed run,
+#: the two strided child gathers of a binary run, the or-gap triple of
+#: gapped edges / gap-variable indices / their segment offsets)
+_Run = Tuple[bool, slice, int, Any, Any, Any, Any]
+
+
 class _Plan:
     """The levelized layout of one circuit: a node permutation that
     makes every (level, kind) run contiguous, plus the index arrays the
-    generated segment reductions gather through."""
+    forward passes gather through."""
 
-    __slots__ = ("n", "root", "pos", "lit_list", "lit_pos", "lit_idx",
-                 "one_pos", "zero_pos", "gv_pos", "gv_neg", "steps",
-                 "arrays", "edges")
+    __slots__ = ("root", "pos", "lit_list", "lit_pos", "lit_idx",
+                 "one_pos", "zero_pos", "gv_pos", "gv_neg", "steps")
 
     def __init__(self, kernel: "IrKernel") -> None:
         np = _numpy()
@@ -129,7 +123,7 @@ class _Plan:
                 level[i] = max(level[c] for c in kids) + 1
         # arity classes big enough to pay for their own step (in saved
         # reduceat time) are split out of their (level, kind) run so
-        # the emitter can use the uniform-arity fast paths; stragglers
+        # the passes can use the uniform-arity fast paths; stragglers
         # stay merged in one segmented-reduction step per run, keeping
         # the step count (= fixed per-pass overhead) bounded
         class_count: Dict[Tuple[int, int, int], int] = {}
@@ -153,7 +147,6 @@ class _Plan:
         pos = [0] * n
         for new, old in enumerate(order):
             pos[old] = new
-        self.n = n
         self.root = pos[n - 1]
         self.pos = pos
 
@@ -199,9 +192,7 @@ class _Plan:
         self.zero_pos = np.array(zeros, dtype=np.int64)
 
         # one step per contiguous (level, kind) run of internal gates
-        steps: List[Tuple[bool, int, int, bool, int]] = []
-        arrays: Dict[str, Any] = {}
-        edges = 0
+        steps: List[_Run] = []
         by_group: Dict[Tuple[int, int, int, int], List[int]] = {}
         for i in order:
             if children[i] and (kinds[i] == KIND_AND or
@@ -210,9 +201,8 @@ class _Plan:
                 if gkey[2] == 1:  # stragglers: one mixed run, any arity
                     gkey = (gkey[0], gkey[1], 1, 0)
                 by_group.setdefault(gkey, []).append(i)
-        for index, (group, ids) in enumerate(sorted(by_group.items())):
+        for group, ids in sorted(by_group.items()):
             is_or = group[1] == KIND_OR
-            lo, hi = pos[ids[0]], pos[ids[-1]] + 1
             child_ids: List[int] = []
             offs = [0]
             egaps: List[Tuple[int, ...]] = []
@@ -221,182 +211,97 @@ class _Plan:
                 offs.append(len(child_ids))
                 if is_or:
                     egaps.extend(kernel.or_gap_vars[i] or ())
-            edges += len(child_ids)
             arities = {len(children[i]) for i in ids}
             arity = arities.pop() if len(arities) == 1 else 0
-            arrays[f"_CH{index}"] = np.array(child_ids, dtype=np.int64)
-            arrays[f"_OF{index}"] = np.array(offs[:-1], dtype=np.int64)
+            offsets = None if arity else \
+                np.array(offs[:-1], dtype=np.int64)
+            pair = None
             if arity == 2:
                 # binary runs (the d-DNNF common case) skip reduceat
                 # for one elementwise ufunc over two strided gathers
-                arrays[f"_CA{index}"] = np.array(child_ids[0::2],
-                                                 dtype=np.int64)
-                arrays[f"_CB{index}"] = np.array(child_ids[1::2],
-                                                 dtype=np.int64)
+                pair = (np.array(child_ids[0::2], dtype=np.int64),
+                        np.array(child_ids[1::2], dtype=np.int64))
+            gaps = None
             gap_edges = [e for e, gv in enumerate(egaps) if gv]
-            has_gaps = bool(gap_edges)
-            if has_gaps:
+            if gap_edges:
                 gidx: List[int] = []
                 goffs = [0]
                 for e in gap_edges:
                     gidx.extend(gap_index[v] for v in egaps[e])
                     goffs.append(len(gidx))
-                arrays[f"_GE{index}"] = np.array(gap_edges,
-                                                 dtype=np.int64)
-                arrays[f"_GI{index}"] = np.array(gidx, dtype=np.int64)
-                arrays[f"_GO{index}"] = np.array(goffs[:-1],
-                                                 dtype=np.int64)
-            steps.append((is_or, lo, hi, has_gaps, arity))
+                gaps = (np.array(gap_edges, dtype=np.int64),
+                        np.array(gidx, dtype=np.int64),
+                        np.array(goffs[:-1], dtype=np.int64))
+            steps.append((is_or, slice(pos[ids[0]], pos[ids[-1]] + 1),
+                          arity, np.array(child_ids, dtype=np.int64),
+                          offsets, pair, gaps))
         self.steps = steps
-        self.arrays = arrays
-        self.edges = edges
 
 
-# -- source generation --------------------------------------------------------
+# -- forward passes -----------------------------------------------------------
 
-def _emit_forward(name: str, plan: _Plan, and_fam: str, or_fam: str,
-                  gap_line: Optional[str]) -> List[str]:
-    """One straight-line forward pass: a charge, then one gather +
-    segment reduction per (level, kind) run, writing into the run's
-    contiguous slice.  ``gap_line`` folds the per-edge or-gap factor
+#: step codes of a bound forward pass (see :func:`_bind`)
+_PAIR, _COPY, _BINARY, _REDUCE, _SEGMENT = range(5)
+
+#: (code, output slice, ufunc or method, gather index, operand, gap)
+_Step = Tuple[int, slice, Any, Any, Any, Any]
+
+
+def _bind(plan: _Plan, and_op: Any, or_op: Any,
+          gap_ops: Any) -> List[_Step]:
+    """One forward pass: the plan's steps bound to a semiring's product
+    and sum ufuncs.  ``gap_ops`` — a segment reduction and the in-place
+    operator that applies its result — folds the per-edge or-gap factor
     in (None for passes that ignore gaps, e.g. evaluation).
 
     Uniform-arity runs specialize away ``reduceat``: arity 1 is a
     sliced copy, arity 2 one elementwise ufunc call (over two strided
     gathers when no gap factor intervenes), arity ``a`` a
-    ``reshape(-1, a, ...)`` + axis-1 ``ufunc.reduce`` — an order of
-    magnitude faster than the segmented reduction on the binary runs
-    that dominate d-DNNFs.  Mixed-arity runs keep ``reduceat``."""
-    lines = [f"def {name}(values, gapvals):", "    _charge(1)"]
-    for index, (is_or, lo, hi, has_gaps, arity) in \
-            enumerate(plan.steps):
-        fam = or_fam if is_or else and_fam
-        out = f"values[{lo}:{hi}]"
-        gapped = is_or and has_gaps and gap_line is not None
-        if arity == 2 and not gapped:
-            lines.append(
-                f"    _{fam}b(_take(values, _CA{index}, 0), "
-                f"_take(values, _CB{index}, 0), out={out})")
-            continue
-        lines.append(f"    cv = _take(values, _CH{index}, 0)")
-        if gapped:
-            assert gap_line is not None
-            lines.append("    " + gap_line.format(i=index))
-        if arity == 1:
-            lines.append(f"    {out} = cv")
+    ``reshape((gates, a) + ...)`` + axis-1 ``ufunc.reduce`` — an order
+    of magnitude faster than the segmented reduction on the binary
+    runs that dominate d-DNNFs.  Mixed-arity runs keep ``reduceat``."""
+    steps: List[_Step] = []
+    for is_or, out, arity, children, offsets, pair, gaps in plan.steps:
+        op = or_op if is_or else and_op
+        gap = None
+        if gaps is not None and gap_ops is not None:
+            gap = gaps + gap_ops
+        if arity == 2 and gap is None:
+            steps.append((_PAIR, out, op, pair[0], pair[1], None))
+        elif arity == 1:
+            steps.append((_COPY, out, None, children, None, gap))
         elif arity == 2:
-            lines.append(f"    _{fam}b(cv[0::2], cv[1::2], out={out})")
+            steps.append((_BINARY, out, op, children, None, gap))
         elif arity > 2:
             # explicit gate count (not -1): a zero-width batch axis
             # makes -1 ambiguous on a size-0 gather
-            lines.append(
-                f"    _{fam}r(cv.reshape(({hi - lo}, {arity}) + "
-                f"cv.shape[1:]), axis=1, out={out})")
+            steps.append((_REDUCE, out, op.reduce, children,
+                          (out.stop - out.start, arity), gap))
         else:
-            lines.append(f"    _{fam}(cv, _OF{index}, out={out})")
-    lines.append(f"    return values[{plan.root}]")
-    lines.append("")
-    return lines
-
-
-def generate_source(plan: _Plan, digest: str) -> str:
-    """The sealed evaluator source for one circuit: four specialized
-    forward passes over the levelized layout, deterministic for a
-    given circuit digest (cache it under that digest)."""
-    body: List[str] = [
-        f"# circuit {digest} n={plan.n} edges={plan.edges} "
-        f"steps={len(plan.steps)}",
-        "",
-    ]
-    # linear semiring: WMC, model count, sat (all weights 1)
-    body += _emit_forward(
-        "forward_wmc", plan, and_fam="mul", or_fam="add",
-        gap_line="cv[_GE{i}] *= _mul(gapvals[_GI{i}], _GO{i})")
-    # log semiring: log-space WMC (gapvals pre-combined per variable)
-    body += _emit_forward(
-        "forward_log", plan, and_fam="add", or_fam="lse",
-        gap_line="cv[_GE{i}] += _add(gapvals[_GI{i}], _GO{i})")
-    # max-product semiring: the MPE upward pass
-    body += _emit_forward(
-        "forward_max", plan, and_fam="mul", or_fam="max",
-        gap_line="cv[_GE{i}] *= _mul(gapvals[_GI{i}], _GO{i})")
-    # boolean evaluation on 0/1 floats (gaps are irrelevant)
-    body += _emit_forward(
-        "forward_eval", plan, and_fam="mul", or_fam="max",
-        gap_line=None)
-    text = "\n".join(body)
-    return seal_source(text)
-
-
-def seal_source(body: str) -> str:
-    """Prefix ``body`` with the schema + self-hash header line."""
-    tag = hashlib.sha256(body.encode()).hexdigest()
-    return f"# {SOURCE_SCHEMA} sha256:{tag}\n{body}"
-
-
-def check_source(text: str) -> bool:
-    """True when ``text`` is a sealed source whose self-hash matches —
-    the integrity gate for store-loaded generated code.  Integrity is
-    version-agnostic (any ``repro-codegen/N`` seal counts): an older
-    emission is *stale*, not corrupt — version currency is the
-    caller's call (:class:`CompiledCircuit` regenerates)."""
-    head, sep, body = text.partition("\n")
-    parts = head.split()
-    if not sep or len(parts) != 3 or parts[0] != "#" or \
-            not parts[1].startswith(_SOURCE_SCHEMA_FAMILY) or \
-            not parts[2].startswith("sha256:"):
-        return False
-    return parts[2][7:] == hashlib.sha256(body.encode()).hexdigest()
-
-
-def source_digest(text: str) -> Optional[str]:
-    """The circuit digest recorded in a sealed source's second line."""
-    lines = text.splitlines()
-    if len(lines) < 2:
-        return None
-    parts = lines[1].split()
-    if len(parts) >= 3 and parts[0] == "#" and parts[1] == "circuit":
-        return parts[2]
-    return None
-
-
-def audited_compile(text: str, namespace: Dict[str, Any]) -> None:
-    """THE one entry point that turns generated text into code.
-
-    Refuses anything that is not a sealed, self-hash-intact source
-    (:func:`check_source`), then compiles and executes it into
-    ``namespace``.  The invariant lint's ``audited-compile`` rule
-    forbids ``eval`` / ``exec`` / ``compile`` on artifact-derived
-    strings anywhere else in the tree, so every byte of generated code
-    is integrity-checked right here before it can run.
-    """
-    if not check_source(text):
-        raise CodegenUnsupported(
-            "generated source failed its integrity check")
-    code = compile(text, "<repro-codegen>", "exec")
-    exec(code, namespace)  # noqa: S102 - the audited entry point
+            steps.append((_SEGMENT, out, op.reduceat, children,
+                          offsets, gap))
+    return steps
 
 
 # -- the compiled circuit -----------------------------------------------------
 
 class CompiledCircuit:
-    """The specialized evaluators of one circuit.
+    """The levelized evaluators of one circuit.
 
-    Construction builds the levelized plan, fetches (or generates and
-    caches) the sealed source, and compiles it once; each query method
-    packs the per-call weights into the plan's literal layout, runs the
-    matching generated forward pass, and unpacks the root value.
+    Construction builds the levelized plan and binds its steps once per
+    forward pass; each query method packs the per-call weights into the
+    plan's literal layout, runs the matching pass, and unpacks the root
+    value.
 
-    ``stats`` counts ``codegen_compiles`` / ``codegen_source_hits`` /
-    ``codegen_fallbacks`` and the compile-vs-eval time split
-    (``codegen_compile_us`` / ``codegen_eval_us``).
+    ``stats`` counts ``codegen_compiles`` / ``codegen_fallbacks`` and
+    the build-vs-eval time split (``codegen_compile_us`` /
+    ``codegen_eval_us``).
     """
 
-    __slots__ = ("kernel", "n", "plan", "stats", "_fns", "_sat_root",
+    __slots__ = ("kernel", "n", "plan", "stats", "_passes", "_sat_root",
                  "_count")
 
-    def __init__(self, kernel: "IrKernel",
-                 store: "Optional[ArtifactStore]" = None) -> None:
+    def __init__(self, kernel: "IrKernel") -> None:
         np = _numpy()
         t0 = time.perf_counter()
         self.kernel = kernel
@@ -406,46 +311,19 @@ class CompiledCircuit:
         self._count: Optional[int] = None
         plan = _Plan(kernel)
         self.plan = plan
-        digest = kernel.ir.digest()
-        if store is None:
-            from .store import default_store
-            store = default_store()
-        source: Optional[str] = None
-        if store is not None:
-            source = store.load_codegen(digest)
-            if source is not None and (
-                    source_digest(source) != digest or
-                    not source.startswith(f"# {SOURCE_SCHEMA} ")):
-                source = None  # foreign / older emission: regenerate
-            if source is not None:
-                self.stats.incr("codegen_source_hits")
-        if source is None:
-            source = generate_source(plan, digest)
-            if store is not None:
-                store.save_codegen(digest, source)
-        from ..limits.budget import pass_charge_hook
-        namespace: Dict[str, Any] = dict(plan.arrays)
-        namespace.update({
-            "_take": np.take,
-            "_mul": np.multiply.reduceat,
-            "_add": np.add.reduceat,
-            "_max": np.maximum.reduceat,
-            "_lse": np.logaddexp.reduceat,
-            "_mulb": np.multiply,
-            "_addb": np.add,
-            "_maxb": np.maximum,
-            "_lseb": np.logaddexp,
-            "_mulr": np.multiply.reduce,
-            "_addr": np.add.reduce,
-            "_maxr": np.maximum.reduce,
-            "_lser": np.logaddexp.reduce,
-            "_charge": pass_charge_hook(kernel, self.n),
-            "__builtins__": {},
-        })
-        audited_compile(source, namespace)
-        self._fns = {name: namespace[name]
-                     for name in ("forward_wmc", "forward_log",
-                                  "forward_max", "forward_eval")}
+        scale = (np.multiply.reduceat, operator.imul)
+        shift = (np.add.reduceat, operator.iadd)
+        self._passes = {
+            # linear semiring: WMC, model count, sat (all weights 1)
+            "wmc": _bind(plan, np.multiply, np.add, scale),
+            # log semiring: log-space WMC (gapvals pre-combined per
+            # variable)
+            "log": _bind(plan, np.add, np.logaddexp, shift),
+            # max-product semiring: the MPE upward pass
+            "max": _bind(plan, np.multiply, np.maximum, scale),
+            # boolean evaluation on 0/1 floats (gaps are irrelevant)
+            "eval": _bind(plan, np.multiply, np.maximum, None),
+        }
         self.stats.incr("codegen_compiles")
         self.stats.incr("codegen_compile_us",
                         int((time.perf_counter() - t0) * 1e6))
@@ -490,9 +368,32 @@ class CompiledCircuit:
             if batch is not None:
                 stats.incr("batch_columns", batch)
 
-    def _timed(self, fn: str, values: Any, gapvals: Any) -> Any:
+    def _run(self, name: str, values: Any, gapvals: Any) -> Any:
+        """One forward pass over ``values``: a budget charge, then one
+        gather and one ufunc call per bound step, writing into the
+        step's contiguous slice."""
         t0 = time.perf_counter()
-        self._fns[fn](values, gapvals)
+        self.kernel._charge()
+        take = values.take  # np.take minus its Python-level wrapper
+        for code, out, op, index, operand, gap in self._passes[name]:
+            if code == _PAIR:
+                op(take(index, 0), take(operand, 0), out=values[out])
+                continue
+            cv = take(index, 0)
+            if gap is not None:
+                # cv[edges] *= (or +=) the edges' gap-variable factors
+                edges, gap_index, gap_offsets, reduce, fold = gap
+                cv[edges] = fold(cv[edges], reduce(gapvals[gap_index],
+                                                   gap_offsets))
+            if code == _COPY:
+                values[out] = cv
+            elif code == _BINARY:
+                op(cv[0::2], cv[1::2], out=values[out])
+            elif code == _REDUCE:
+                op(cv.reshape(operand + cv.shape[1:]), axis=1,
+                   out=values[out])
+            else:
+                op(cv, operand, out=values[out])
         self.stats.incr("codegen_eval_us",
                         int((time.perf_counter() - t0) * 1e6))
         return values
@@ -505,7 +406,7 @@ class CompiledCircuit:
         gapvals = wvec[plan.gv_pos] + wvec[plan.gv_neg]
         values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats)
-        self._timed("forward_wmc", values, gapvals)
+        self._run("wmc", values, gapvals)
         return float(values[plan.root])
 
     def wmc_batch(self, weights: Mapping[int, Any],
@@ -515,7 +416,7 @@ class CompiledCircuit:
         gapvals = wvec[plan.gv_pos] + wvec[plan.gv_neg]
         values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats, batch=wvec.shape[1])
-        self._timed("forward_wmc", values, gapvals)
+        self._run("wmc", values, gapvals)
         return values[plan.root].copy()
 
     def wmc_log_batch(self, log_weights: Mapping[int, Any],
@@ -526,7 +427,7 @@ class CompiledCircuit:
         gapvals = np.logaddexp(wvec[plan.gv_pos], wvec[plan.gv_neg])
         values = self._values(wvec, zero=-np.inf, one=0.0)
         self._pass_stats(stats, batch=wvec.shape[1])
-        self._timed("forward_log", values, gapvals)
+        self._run("log", values, gapvals)
         return values[plan.root].copy()
 
     def model_count(self, stats: Optional[Counter] = None) -> int:
@@ -547,7 +448,7 @@ class CompiledCircuit:
         gapvals = wvec[plan.gv_pos] + wvec[plan.gv_neg]
         values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats)
-        self._timed("forward_wmc", values, gapvals)
+        self._run("wmc", values, gapvals)
         self._count = int(round(float(values[plan.root])))
         return self._count
 
@@ -563,7 +464,7 @@ class CompiledCircuit:
         gapvals = wvec[plan.gv_pos] + wvec[plan.gv_neg]
         values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats)
-        self._timed("forward_wmc", values, gapvals)
+        self._run("wmc", values, gapvals)
         self._sat_root = bool(values[plan.root] > 0.0)
         return self._sat_root
 
@@ -580,7 +481,7 @@ class CompiledCircuit:
         gapvals = np.maximum(wvec[plan.gv_pos], wvec[plan.gv_neg])
         values = self._values(wvec, zero=-np.inf, one=1.0)
         self._pass_stats(stats)
-        self._timed("forward_max", values, gapvals)
+        self._run("max", values, gapvals)
         pos = plan.pos
 
         def best_literal(var: int) -> int:
@@ -627,7 +528,7 @@ class CompiledCircuit:
             dtype=float, count=len(plan.lit_list))
         values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats)
-        self._timed("forward_eval", values, None)
+        self._run("eval", values, None)
         return bool(values[plan.root] > 0.5)
 
     def evaluate_batch(self, assignment: Mapping[int, Any],
@@ -644,21 +545,19 @@ class CompiledCircuit:
         wvec = np.array(rows, dtype=float)
         values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats, batch=wvec.shape[1])
-        self._timed("forward_eval", values, None)
+        self._run("eval", values, None)
         return values[plan.root] > 0.5
 
 
-def compile_circuit(kernel: "IrKernel",
-                    store: "Optional[ArtifactStore]" = None
-                    ) -> CompiledCircuit:
+def compile_circuit(kernel: "IrKernel") -> CompiledCircuit:
     """Compile ``kernel``'s circuit, or raise :class:`CodegenUnsupported`
     (no numpy, parameterised or empty circuit)."""
     try:
-        # probe the attributes the generated code gathers through, so a
-        # missing *or broken* numpy (e.g. a stub module) falls back to
-        # the interpreter instead of failing mid-query
+        # probe attributes the evaluator calls, so a missing *or
+        # broken* numpy (e.g. a stub module) falls back to the
+        # interpreter instead of failing mid-query
         np = _numpy()
-        np.take, np.multiply.reduceat, np.logaddexp.reduceat
+        np.empty, np.multiply.reduceat, np.logaddexp.reduceat
     except Exception as error:
         raise CodegenUnsupported("numpy unavailable") from error
-    return CompiledCircuit(kernel, store=store)
+    return CompiledCircuit(kernel)

@@ -360,11 +360,11 @@ def optimize_artifact(store: ArtifactStore, key: str,
     pipeline when ``passes`` is None), and — when the pipeline
     produced a certified strictly-smaller circuit — lands it as an
     optimized variant next to the base artifact (keyed by the
-    pass-pipeline signature in the ``.cert`` sidecar) and pre-warms
-    its codegen module.  A variant already in the store is reused
-    without re-running the pipeline.  Returns a wire-ready audit dict,
-    or None when the artifact is missing.  Budget exhaustion degrades
-    to whatever the pipeline certified so far — never an error.
+    pass-pipeline signature in the ``.cert`` sidecar).  A variant
+    already in the store is reused without re-running the pipeline.
+    Returns a wire-ready audit dict, or None when the artifact is
+    missing.  Budget exhaustion degrades to whatever the pipeline
+    certified so far — never an error.
     """
     from .passes import PassManager, parse_passes, pipeline_signature
     parsed = parse_passes(passes)
@@ -386,22 +386,10 @@ def optimize_artifact(store: ArtifactStore, key: str,
         store.save_variant(key, result.ir, result.signature,
                            passes=result.passes,
                            forgotten=result.forgotten)
-        _warm_codegen(store, result.ir)
     wire = result.as_wire()
     wire["key"] = key
     wire["cached"] = False
     return wire
-
-
-def _warm_codegen(store: ArtifactStore, ir: CircuitIR) -> None:
-    """Regenerate the ``.gen.py`` module for an optimized variant so
-    the first real query is served compiled (best-effort)."""
-    try:
-        kernel = ir_kernel(ir)
-        kernel.codegen_store = store
-        kernel.sat()
-    except Exception:
-        pass
 
 
 # -- query side ---------------------------------------------------------------
@@ -465,6 +453,8 @@ def query_ir(ir: CircuitIR, query: str, *,
     quantified out (Tseitin auxiliaries): they are excluded from the
     widening set, which is exactly the 2^k correction — a pruned
     circuit answers the same counts as the original.
+    ``codegen_store`` is accepted for existing callers and unused:
+    evaluators are built in-process and never touch a store.
     Raises ``ValueError`` on a malformed request and
     :class:`~repro.limits.budget.BudgetExceeded` when the budget
     expires mid-pass.
@@ -473,8 +463,6 @@ def query_ir(ir: CircuitIR, query: str, *,
         raise ValueError(f"unknown query {query!r}; expected one of "
                          f"{list(QUERY_KINDS)}")
     kernel = ir_kernel(ir)
-    if codegen_store is not None:
-        kernel.codegen_store = codegen_store
     skip = frozenset(int(v) for v in forgotten)
     if budget is not None:
         with budget.scope():
@@ -634,4 +622,4 @@ def query_artifact(store: ArtifactStore, key: str, query: str, *,
         ir = base
     return query_ir(ir, query, num_vars=num_vars, weights=weights,
                     weight_batch=weight_batch, budget=budget,
-                    codegen_store=store, forgotten=forgotten)
+                    forgotten=forgotten)

@@ -31,8 +31,9 @@ functions of the per-call weights and never write to the memos — see
 Every query first consults the codegen backend
 (:mod:`repro.ir.codegen`): unless ``$REPRO_BACKEND=interp`` (or
 :meth:`IrKernel.set_backend`) pins the interpreter, supported circuits
-run through a per-circuit compiled straight-line evaluator and only
-fall back to the interpreted loops below on
+run through the circuit's levelized plan — one numpy call per run of
+same-kind gates, built in-process once per circuit — and only fall
+back to the interpreted loops below on
 :class:`~repro.ir.codegen.CodegenUnsupported` (parameterised circuits,
 counts beyond float64's exact range, literal-free batches, no numpy).
 Both backends charge the same budget and pass the same gate.
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..limits.budget import resolve_budget
 from ..perf.instrument import Counter
 from .codegen import CodegenUnsupported, resolve_backend
 from .core import (CircuitIR, KIND_AND, KIND_FALSE, KIND_LIT, KIND_OR,
@@ -96,7 +98,7 @@ class IrKernel:
 
     __slots__ = ("ir", "n", "kinds", "lits", "children", "varsets",
                  "or_gap_bits", "or_gap_vars", "budget", "backend",
-                 "codegen_store", "_codegen", "_scratch",
+                 "_codegen", "_scratch",
                  "_model_count", "_sat", "_derivatives", "_certificate")
 
     def __init__(self, ir: CircuitIR) -> None:
@@ -134,11 +136,6 @@ class IrKernel:
         #: backend override: None defers to ``$REPRO_BACKEND``
         #: (default ``codegen``); see :meth:`set_backend`
         self.backend: Optional[str] = None
-        #: ArtifactStore for cached generated sources: None defers to
-        #: ``$REPRO_CACHE_DIR`` (callers with an explicit store — e.g.
-        #: ``repro query --cache-dir`` — set this so the ``.gen.py``
-        #: source lands next to the circuit's ``.nnf``/``.cert``)
-        self.codegen_store: Any = None
         self._codegen: Any = None
         self._model_count: Optional[int] = None
         self._sat: Optional[List[bool]] = None
@@ -186,7 +183,7 @@ class IrKernel:
         if cg is None:
             from .codegen import compile_circuit
             try:
-                cg = compile_circuit(self, store=self.codegen_store)
+                cg = compile_circuit(self)
             except CodegenUnsupported:
                 cg = _CODEGEN_UNSUPPORTED
             self._codegen = cg
@@ -195,7 +192,6 @@ class IrKernel:
     def _charge(self, passes: int = 1) -> None:
         """Charge the (explicit or ambient) budget for ``passes`` full
         sweeps of the circuit; raises BudgetExceeded on exhaustion."""
-        from ..limits.budget import resolve_budget
         budget = resolve_budget(self.budget)
         if budget is not None:
             budget.tick(passes * self.n,

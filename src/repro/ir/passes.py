@@ -32,9 +32,9 @@ Pass catalog
     de-smoothed circuit, which is strictly smaller for count-only
     workloads.
 ``smooth``
-    Re-smoothing (migrated here from ``repro.analyze.repair``, which
-    now delegates): pad or-gate children with tautologies for missing
-    sibling variables.  The one pass allowed to *grow* the circuit.
+    Re-smoothing, also the ``repair`` gate mode's auto-fix: pad
+    or-gate children with tautologies for missing sibling variables.
+    The one pass allowed to *grow* the circuit.
 
 The certification gate
 ----------------------
@@ -250,8 +250,8 @@ def smooth_ir(ir: CircuitIR) -> CircuitIR:
     Each or-gate child missing sibling variables is conjoined with a
     ``(v ∨ ¬v)`` gate per missing variable (Darwiche & Marquis 2002).
     The result carries the original flags plus SMOOTH, minus
-    STRUCTURED.  This is the engine behind the ``repair`` gate mode;
-    :func:`repro.analyze.repair.smooth_ir` delegates here.
+    STRUCTURED.  This is the engine behind the ``repair`` gate mode
+    (re-exported as :func:`repro.analyze.smooth_ir`).
     """
     if ir.has_flag(FLAG_SMOOTH):
         return ir

@@ -95,7 +95,7 @@ class ArtifactStore:
         ``*.tmp`` in the same directory, fsync, then ``os.replace``.
 
         THE single write primitive for every artifact extension
-        (``.nnf``/``.sdd``/``.vtree``/``.cert``/``.csr``/``.gen.py``)
+        (``.nnf``/``.sdd``/``.vtree``/``.cert``/``.csr``/``.proof``)
         — a reader concurrent with any writer sees either the old
         complete file or the new complete file, never a torn prefix
         (which would land a perfectly good artifact in quarantine).
@@ -165,13 +165,10 @@ class ArtifactStore:
 
     def _write_cert(self, key: str, digest: str, flags: int,
                     status: Mapping[str, str], method: str,
-                    ir_digest: Optional[str] = None,
                     variants: Optional[Mapping[str, Any]] = None) -> None:
         cert = {"schema": "repro-cert/1", "digest": digest,
                 "flags": flags, "status": dict(status),
                 "method": method}
-        if ir_digest is not None:
-            cert["ir_digest"] = ir_digest
         # preserve recorded optimized variants and the proof verdict
         # across certificate rewrites — but only while they describe
         # the same base artifact (digest unchanged)
@@ -181,10 +178,6 @@ class ArtifactStore:
                 cert["proof"] = old["proof"]
             if variants is None:
                 variants = old.get("variants")
-                if ir_digest is None:
-                    cert_ir = old.get("ir_digest")
-                    if cert_ir is not None:
-                        cert["ir_digest"] = cert_ir
         if variants:
             cert["variants"] = dict(variants)
         # certificates are bookkeeping, not artifact traffic: bypass
@@ -216,7 +209,7 @@ class ArtifactStore:
             self.stats.incr("artifact_cert_fail")
             return False
         self._write_cert(key, digest, claimed, result.summary(),
-                         "verified", ir_digest=ir.digest())
+                         "verified")
         self.stats.incr("artifact_verified")
         return True
 
@@ -399,8 +392,7 @@ class ArtifactStore:
             # claiming more will re-verify and widen the certificate
             status = {name: "construction" for name in ir.flag_names()}
             self._write_cert(key, self._content_hash(text), ir.flags,
-                             status, "construction",
-                             ir_digest=ir.digest())
+                             status, "construction")
         return path
 
     # -- optimized variants (.opt-<sig>.nnf, keyed in the .cert) -------------
@@ -437,7 +429,6 @@ class ArtifactStore:
         variants[signature] = {
             "nodes": ir.n, "flags": ir.flags,
             "digest": self._content_hash(text),
-            "ir_digest": ir.digest(),
             "passes": list(passes),
             "forgotten": sorted(int(v) for v in forgotten),
             "verified": "construction",
@@ -445,7 +436,6 @@ class ArtifactStore:
         self._write_cert(key, cert.get("digest", ""),
                          int(cert.get("flags", 0)), cert.get("status", {}),
                          str(cert.get("method", "construction")),
-                         ir_digest=cert.get("ir_digest"),
                          variants=variants)
         self.stats.incr("artifact_variant_writes")
         return path
@@ -459,7 +449,6 @@ class ArtifactStore:
         self._write_cert(key, cert.get("digest", ""),
                          int(cert.get("flags", 0)), cert.get("status", {}),
                          str(cert.get("method", "construction")),
-                         ir_digest=cert.get("ir_digest"),
                          variants=variants)
 
     def load_variant(self, key: str, signature: str
@@ -530,32 +519,6 @@ class ArtifactStore:
                                           info.get("forgotten", [])],
                             "passes": list(info.get("passes", []))}
         return base, {"signature": None, "forgotten": [], "passes": []}
-
-    # -- generated evaluator sources (.gen.py) -------------------------------
-    def load_codegen(self, key: str) -> Optional[str]:
-        """The sealed generated-evaluator source for circuit digest
-        ``key``, or None.  A source whose self-hash no longer matches
-        is quarantined (``*.corrupt``) and reported as a miss — it is
-        regenerated, never compiled."""
-        path = self.path_for(key, "gen.py")
-        try:
-            text = path.read_text()
-        except OSError:
-            self.stats.incr("codegen_source_misses")
-            return None
-        from .codegen import check_source
-        if not check_source(text):
-            self._move_aside(path)
-            self.stats.incr("artifact_corrupt")
-            self.stats.incr("codegen_source_misses")
-            return None
-        self.stats.incr("codegen_source_hits")
-        return text
-
-    def save_codegen(self, key: str, source: str) -> Path:
-        """Cache a sealed generated source next to the circuit's
-        ``.cert`` sidecar, under the same digest."""
-        return self._write(self.path_for(key, "gen.py"), source)
 
     # -- SDD artifacts (.sdd + .vtree) --------------------------------------
     def load_sdd(self, key: str) -> Optional[Tuple[object, object]]:
@@ -628,10 +591,9 @@ class ArtifactStore:
         * ``.cert`` sidecars with neither a ``.nnf`` nor an ``.sdd``;
         * ``.opt-*.nnf``/``.csr`` variants whose base artifact is gone
           or that no ``.cert`` references any more;
-        * ``.gen.py`` sources whose circuit digest no certificate
-          (base or variant) references — legacy certificates written
-          before digests were recorded cannot vouch for their sources,
-          so those are reaped too and simply regenerate on next use.
+        * every ``.gen.py`` file: older stores cached generated
+          evaluator sources there, and evaluators are now built
+          in-process from the circuit, so nothing reads them.
 
         With ``dry_run=True`` nothing is deleted; the report is
         identical.  Returns ``{"scanned", "removed", "reclaimed_bytes",
@@ -641,8 +603,6 @@ class ArtifactStore:
         files = [p for p in self.root.glob("*/*") if p.is_file()]
         nnf_keys = set()
         sdd_keys = set()
-        cert_keys = set()
-        live_ir_digests = set()
         variant_sigs: dict = {}
         for path in files:
             name = path.name
@@ -654,19 +614,9 @@ class ArtifactStore:
             elif ext == "sdd":
                 sdd_keys.add(key)
             elif ext == "cert":
-                cert_keys.add(key)
                 cert = self._read_cert(key)
-                if cert is None:
-                    continue
-                digest = cert.get("ir_digest")
-                if digest:
-                    live_ir_digests.add(digest)
-                variants = cert.get("variants") or {}
-                sigs = variant_sigs.setdefault(key, set())
-                for sig, info in variants.items():
-                    sigs.add(sig)
-                    if isinstance(info, dict) and info.get("ir_digest"):
-                        live_ir_digests.add(info["ir_digest"])
+                if cert is not None:
+                    variant_sigs[key] = set(cert.get("variants") or {})
 
         def classify(path: Path) -> Optional[str]:
             name = path.name
@@ -698,7 +648,7 @@ class ArtifactStore:
                     return None
                 return "orphan_cert"
             if ext == "gen.py":
-                return None if key in live_ir_digests else "orphan_gen"
+                return "orphan_gen"
             return None
 
         report = {"scanned": len(files), "removed": 0,

@@ -43,8 +43,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional
 
-__all__ = ["Budget", "BudgetExceeded", "resolve_budget",
-           "pass_charge_hook"]
+__all__ = ["Budget", "BudgetExceeded", "resolve_budget"]
 
 #: exhaustion reasons carried by :class:`BudgetExceeded`
 REASON_DEADLINE = "deadline"
@@ -312,26 +311,3 @@ class Budget:
 def resolve_budget(budget: Optional[Budget]) -> Optional[Budget]:
     """``budget`` when given, else the ambient budget, else None."""
     return budget if budget is not None else Budget.ambient()
-
-
-def pass_charge_hook(owner: object, n: int) -> Callable[[int], None]:
-    """A pass-count charging callback for generated evaluator code.
-
-    Compiled evaluators (:mod:`repro.ir.codegen`) run outside the
-    interpreter's per-query loop, but they must not escape the
-    governor: each generated forward pass calls the returned hook once
-    before touching the arrays, charging ``passes`` circuit sweeps of
-    ``n`` nodes against ``owner.budget`` — re-read *per call*, with the
-    usual explicit-or-ambient resolution — and raising
-    :class:`BudgetExceeded` on exhaustion exactly like the
-    interpreter's own charge.
-    """
-
-    def _charge(passes: int = 1) -> None:
-        budget = resolve_budget(getattr(owner, "budget", None))
-        if budget is not None:
-            budget.tick(passes * n,
-                        partial={"operation": "kernel-pass",
-                                 "circuit_nodes": n})
-
-    return _charge

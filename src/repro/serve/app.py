@@ -120,10 +120,8 @@ class Server:
     async def _dispatch(self, fn: Any, payload: Dict[str, Any]
                         ) -> Dict[str, Any]:
         """Run one job on the pool, tracking admission occupancy."""
-        loop = asyncio.get_running_loop()
         try:
-            reply = await asyncio.wrap_future(
-                self.pool.submit(fn, payload), loop=loop)
+            reply = await self.pool.run(fn, payload)
         finally:
             self._release()
         self._absorb_worker_stats(reply)

@@ -1,14 +1,19 @@
-"""A small blocking client for the serve API (stdlib http.client).
+"""A small blocking client for the serve API (one keep-alive socket).
 
 One :class:`ServeClient` holds one keep-alive connection — the shape
 both the load generator and the CI smoke script use.  Thread-unsafe by
 design; give each worker thread its own client.
+
+It speaks just the HTTP/1.1 the server answers with (a status line,
+headers, a ``Content-Length`` body): a request is one ``sendall`` and
+a reply a few ``recv`` calls, so a client thread sharing a process
+with the server takes little of its interpreter time.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["ServeClient"]
@@ -21,37 +26,58 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._conn: Optional[http.client.HTTPConnection] = None
-
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
+        self._sock: Optional[socket.socket] = None
+        self._reader: Any = None
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = None
+
+    def _exchange(self, request: bytes) -> Tuple[int, bytes]:
+        """Send one request; read its reply's status and body."""
+        if self._sock is None:
+            self._sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout)
+            self._sock.setsockopt(socket.IPPROTO_TCP,
+                                  socket.TCP_NODELAY, 1)
+            self._reader = self._sock.makefile("rb")
+        self._sock.sendall(request)
+        status = self._reader.readline().split(b" ", 2)
+        headers: Dict[str, str] = {}
+        for line in iter(self._reader.readline, b"\r\n"):
+            if not line:
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", "0") or 0)
+        body = self._reader.read(length)
+        if len(status) < 2 or not status[1].isdigit() or \
+                len(body) < length:
+            raise ConnectionError("server closed the connection")
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        return int(status[1]), body
 
     def request(self, method: str, path: str,
                 body: Optional[Dict[str, Any]] = None
                 ) -> Tuple[int, Dict[str, Any]]:
         """One round trip; returns (http_status, decoded body)."""
-        payload = None if body is None else \
+        payload = b"" if body is None else \
             json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if payload \
-            else {}
+        head = [f"{method} {path} HTTP/1.1",
+                f"Host: {self.host}:{self.port}"]
+        if body is not None:
+            head.append("Content-Type: application/json")
+        head.append(f"Content-Length: {len(payload)}")
+        request = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") \
+            + payload
         for attempt in (0, 1):
-            conn = self._connection()
             try:
-                conn.request(method, path, body=payload,
-                             headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
+                status, raw = self._exchange(request)
                 break
-            except (http.client.HTTPException, ConnectionError,
-                    OSError):
+            except OSError:
                 # a keep-alive connection the server closed between
                 # requests: reconnect once, then give up
                 self.close()
@@ -62,7 +88,7 @@ class ServeClient:
         except json.JSONDecodeError:
             decoded = {"status": "error", "error": raw.decode(
                 "utf-8", "replace")}
-        return response.status, decoded
+        return status, decoded
 
     # -- API calls -----------------------------------------------------------
     def compile(self, dimacs: str,

@@ -1,13 +1,13 @@
 """The worker pool: where compiles and queries actually run.
 
-Heavy work never runs on the event loop.  A
-``concurrent.futures.ProcessPoolExecutor`` (fork context) hosts N
-workers; each worker opens its *own* handle on the shared
+Heavy work never runs on the event loop.  N forked worker processes
+take jobs over pipes that the event loop reads and writes itself;
+each worker opens its *own* handle on the shared
 :class:`~repro.ir.store.ArtifactStore` directory, so a circuit
-compiled by any worker is a warm load (cert hit + ``.csr`` mmap +
-cached codegen source) for every other worker and for every later
-process.  Workers additionally keep a small in-process LRU of decoded
-circuits so a hot key skips even the mmap parse.
+compiled by any worker is a warm load (cert hit + ``.csr`` mmap) for
+every other worker and for every later process.  Workers additionally
+keep a small in-process LRU of decoded circuits so a hot key skips
+even the mmap parse, and its kernel keeps the levelized evaluator.
 
 Worker entry points (:func:`run_compile`, :func:`run_query`) are
 module-level functions taking/returning plain dicts — the pickle
@@ -19,13 +19,14 @@ into the served `/stats`.
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
-from concurrent.futures import (Executor, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
-from typing import Any, Dict, Optional
-
+import asyncio
 import multiprocessing
+import os
+import pickle
+import signal
+from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..ir import facade
 from ..ir.store import ArtifactStore
@@ -40,6 +41,10 @@ IR_CACHE_SIZE = 128
 
 _store: Optional[ArtifactStore] = None
 _ir_cache: "OrderedDict[str, Any]" = OrderedDict()
+#: the parent's ends of every live pool's pipes in this process; a
+#: forked worker closes them all, so a worker reads end-of-file as soon
+#: as its own pool closes its end
+_parent_ends: Set[Any] = set()
 
 
 def init_worker(cache_root: str, verify: bool = True) -> None:
@@ -174,7 +179,7 @@ def run_query(payload: Dict[str, Any]) -> Dict[str, Any]:
             reply = facade.query_ir(
                 ir, payload["query"], num_vars=payload.get("num_vars"),
                 weights=weights, weight_batch=batch, budget=budget,
-                codegen_store=store, forgotten=forgotten)
+                forgotten=forgotten)
             reply["status"] = "ok"
             result = reply.get("result")
             if isinstance(result, int) and not isinstance(result, bool):
@@ -195,13 +200,49 @@ def run_query(payload: Dict[str, Any]) -> Dict[str, Any]:
     return reply
 
 
-def _warm(_: int) -> int:
-    """No-op task used to force worker spawn at startup."""
-    return os.getpid()
+class _Worker:
+    """One forked worker, the parent's ends of its two pipes, its job."""
+
+    __slots__ = ("process", "jobs", "replies", "job")
+
+    def __init__(self, process: Any, jobs: Any, replies: Any) -> None:
+        self.process = process
+        self.jobs = jobs
+        self.replies = replies
+        self.job: Optional["asyncio.Future[Dict[str, Any]]"] = None
+
+
+def _worker_main(jobs: Any, replies: Any, cache_root: str,
+                 verify: bool) -> None:
+    """A worker's life: answer ``(fn, payload)`` messages until the
+    pool closes its end of the job pipe."""
+    for other in list(_parent_ends):
+        other.close()
+    _parent_ends.clear()
+    # the parent decides when workers stop: it closes their pipes
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    init_worker(cache_root, verify)
+    while True:
+        try:
+            fn, payload = pickle.loads(jobs.recv_bytes())
+        except EOFError:  # the pool closed its end
+            return
+        reply = pickle.dumps(fn(payload))
+        try:
+            replies.send_bytes(reply)
+        except BrokenPipeError:  # the pool shut down mid-job
+            return
 
 
 class WorkerPool:
     """N forked workers over one shared artifact directory.
+
+    Each worker reads jobs from one pipe and writes replies to
+    another.  The event loop sends a job to an idle worker and reads
+    the reply in a reader callback, so no thread stands between the
+    loop and a worker.  Jobs beyond the idle workers wait in a queue.
+    A worker that dies fails the job it held (the server answers 500)
+    and the others carry on.
 
     With ``workers=0`` the same entry points run on an in-process
     thread pool instead (tests, single-core deployments) — one store
@@ -213,24 +254,111 @@ class WorkerPool:
         self.cache_root = cache_root
         self.workers = max(0, int(workers))
         self.verify = verify
-        self._executor: Executor
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._workers: List[_Worker] = []
+        self._idle: Deque[_Worker] = deque()
+        self._queue: Deque[Tuple[Any, Dict[str, Any], Any]] = deque()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         if self.workers == 0:
             init_worker(cache_root, verify)
             self._executor = ThreadPoolExecutor(max_workers=2)
-        else:
-            context = multiprocessing.get_context("fork")
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context,
-                initializer=init_worker,
-                initargs=(cache_root, verify))
-            # spawn workers NOW: forking after the asyncio loop (and
-            # its helper threads) start is unsafe, and a lazy first
-            # fork would bill one request for the whole pool startup
-            list(self._executor.map(_warm, range(self.workers)))
+            return
+        # fork every worker NOW: forking after the asyncio loop (and
+        # its helper threads) start is unsafe
+        context = multiprocessing.get_context("fork")
+        for _ in range(self.workers):
+            their_jobs, jobs = context.Pipe(duplex=False)
+            replies, their_replies = context.Pipe(duplex=False)
+            _parent_ends.update((jobs, replies))
+            process = context.Process(
+                target=_worker_main, daemon=True,
+                args=(their_jobs, their_replies, cache_root, verify))
+            process.start()
+            their_jobs.close()
+            their_replies.close()
+            self._workers.append(_Worker(process, jobs, replies))
 
-    def submit(self, fn: Any, payload: Dict[str, Any]) -> Any:
-        """A concurrent.futures.Future for ``fn(payload)``."""
-        return self._executor.submit(fn, payload)
+    async def run(self, fn: Any, payload: Dict[str, Any]
+                  ) -> Dict[str, Any]:
+        """``fn(payload)`` on a worker; ``fn`` is one of the module's
+        entry points.  Always called on the server's one event loop."""
+        loop = asyncio.get_running_loop()
+        if self._executor is not None:
+            return await loop.run_in_executor(self._executor, fn, payload)
+        if self._loop is None:  # first job: read replies on this loop
+            self._loop = loop
+            for worker in self._workers:
+                loop.add_reader(worker.replies.fileno(), self._on_reply,
+                                worker)
+                self._idle.append(worker)
+        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
+        self._queue.append((fn, payload, future))
+        self._pump()
+        return await future
+
+    def _pump(self) -> None:
+        """Hand queued jobs to idle workers.  The write blocks the loop
+        only while an idle worker, already waiting on its pipe, reads
+        the job in."""
+        while self._queue and self._idle:
+            fn, payload, future = self._queue.popleft()
+            if future.done():  # its request was cancelled
+                continue
+            worker = self._idle.popleft()
+            try:
+                worker.jobs.send_bytes(pickle.dumps((fn, payload)))
+            except OSError:
+                self._queue.appendleft((fn, payload, future))
+                self._retire(worker)
+                continue
+            worker.job = future
+        if all(w.replies.closed for w in self._workers):
+            while self._queue:
+                future = self._queue.popleft()[2]
+                if not future.done():
+                    future.set_exception(
+                        RuntimeError("no live worker processes"))
+
+    def _on_reply(self, worker: _Worker) -> None:
+        """A worker's reply pipe is readable: its reply, which the
+        worker writes in one go, or end-of-file when it died."""
+        try:
+            reply = pickle.loads(worker.replies.recv_bytes())
+        except (EOFError, OSError):
+            self._retire(worker)
+        else:
+            future, worker.job = worker.job, None
+            if future is not None and not future.done():
+                future.set_result(reply)
+            self._idle.append(worker)
+        self._pump()
+
+    def _retire(self, worker: _Worker) -> None:
+        """Drop a worker whose pipe broke (it exited or was killed)."""
+        if worker in self._idle:
+            self._idle.remove(worker)
+        if self._loop is not None:
+            self._loop.remove_reader(worker.replies.fileno())
+        if worker.job is not None and not worker.job.done():
+            worker.job.set_exception(RuntimeError(
+                f"worker process {worker.process.pid} exited"))
+        worker.job = None
+        self._close(worker)
+
+    @staticmethod
+    def _close(worker: _Worker) -> None:
+        for end in (worker.jobs, worker.replies):
+            _parent_ends.discard(end)
+            end.close()
 
     def shutdown(self) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        """Close every worker's pipe and wait for it to exit: an idle
+        worker reads end-of-file, a busy one finishes its job first."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            return
+        self._idle.clear()
+        for worker in self._workers:
+            self._close(worker)
+        for worker in self._workers:
+            worker.process.join()

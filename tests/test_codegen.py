@@ -1,10 +1,10 @@
-"""Tests for the codegen backend (:mod:`repro.ir.codegen`): generated
+"""Tests for the codegen backend (:mod:`repro.ir.codegen`): levelized
 evaluators agree with the interpreted kernel on every query, fall back
-where unsupported, stay fresh across invalidation and EM updates, and
-round-trip through the artifact store's sealed-source and binary CSR
-sidecars."""
+where unsupported, stay fresh across invalidation and EM updates, read
+and write no files, and round-trip circuits through the artifact
+store's binary CSR sidecars."""
 
-import math
+import importlib.util
 import os
 import random
 import subprocess
@@ -13,14 +13,11 @@ import sys
 import pytest
 
 from repro.compile.dnnf_compiler import DnnfCompiler
-from repro.ir import (CodegenUnsupported, ir_kernel, nnf_to_ir,
+from repro.ir import (CodegenUnsupported, facade, ir_kernel, nnf_to_ir,
                       psdd_to_ir)
-from repro.ir.codegen import (audited_compile, check_source,
-                              compile_circuit, resolve_backend,
-                              seal_source, source_digest)
+from repro.ir.codegen import resolve_backend
 from repro.ir.core import IrBuilder
-from repro.ir.serialize import (ir_from_csr_buffer, ir_from_nnf_text,
-                                ir_to_csr_bytes)
+from repro.ir.serialize import ir_from_csr_buffer, ir_to_csr_bytes
 from repro.ir.store import ArtifactStore
 from repro.limits import Budget, BudgetExceeded
 from repro.limits.faults import corrupt_artifact
@@ -255,65 +252,93 @@ def test_psdd_em_updates_never_served_stale():
         kernel.set_backend(None)
 
 
-# -- sealed sources and the audited compile gate -----------------------------
+# -- no bytes become code ----------------------------------------------------
 
-def test_audited_compile_refuses_unsealed_source():
-    with pytest.raises(CodegenUnsupported):
-        audited_compile("x = 1\n", {})
-    sealed = seal_source("x = 1\n")
-    assert check_source(sealed)
-    namespace = {}
-    audited_compile(sealed, namespace)
-    assert namespace["x"] == 1
-    tampered = sealed.replace("x = 1", "x = 2")
-    assert not check_source(tampered)
-    with pytest.raises(CodegenUnsupported):
-        audited_compile(tampered, {})
-
-
-def test_codegen_source_cache_roundtrip(tmp_path):
-    kernel = fresh_kernel(Cnf([(1, 2), (-1, 3), (2, -3)], num_vars=3))
+def test_queries_leave_only_the_circuit_in_the_store(tmp_path,
+                                                     monkeypatch):
+    """A cold compile plus every facade query kind leaves the circuit,
+    its mmap twin and its certificate in the store, and nothing else:
+    the evaluator is built in-process, never stored."""
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    rng = random.Random(1601)
+    cnf = random_cnf(rng, max_vars=9)
     store = ArtifactStore(tmp_path / "cache")
-    weights = random_weights(random.Random(4), range(1, 4))
-    first = compile_circuit(kernel, store)
-    assert store.stats["codegen_source_misses"] == 1
-    key = kernel.ir.digest()
-    path = store.path_for(key, "gen.py")
-    assert path.exists()
-    assert source_digest(path.read_text()) == key
-    second = compile_circuit(kernel, store)
-    assert store.stats["codegen_source_hits"] == 1
-    assert first.wmc(weights) == pytest.approx(second.wmc(weights))
+    ticket = facade.compile_ticket(cnf.to_dimacs())
+    facade.compile_to_store(ticket, store)
+    weights = random_weights(rng, range(1, ticket.num_vars + 1))
+    for query in ("count", "wmc", "mpe", "marginals"):
+        reply = facade.query_artifact(
+            store, ticket.key, query, num_vars=ticket.num_vars,
+            weights=weights if query in ("wmc", "mpe") else None)
+        assert reply is not None
+    kernel = ir_kernel(store.load_nnf(ticket.key))
+    assert kernel._codegen.stats["codegen_compiles"] == 1
+    kinds = sorted({path.name.partition(".")[2]
+                    for path in (tmp_path / "cache").rglob("*")
+                    if path.is_file()})
+    assert kinds == ["cert", "csr", "nnf"]
 
 
-def test_corrupt_codegen_source_quarantined_and_regenerated(tmp_path):
-    kernel = fresh_kernel(Cnf([(1, 2), (-2, 3)], num_vars=3))
-    store = ArtifactStore(tmp_path / "cache")
-    compile_circuit(kernel, store)
-    key = kernel.ir.digest()
-    corrupt_artifact(store, key, "gen.py", "truncate")
-    compiled = compile_circuit(kernel, store)
-    assert store.stats["artifact_corrupt"] == 1
-    assert store.path_for(key, "gen.py").with_suffix(
-        ".py.corrupt").exists()
-    assert compiled.model_count() == kernel.model_count()
-    # the regeneration rewrote a clean source
-    assert check_source(store.path_for(key, "gen.py").read_text())
+def test_evaluation_writes_nothing_to_the_cache_dir(tmp_path,
+                                                    monkeypatch):
+    """``$REPRO_CACHE_DIR`` names the compile cache; evaluating an
+    in-memory circuit leaves it untouched."""
+    from repro.nnf.kernel import get_kernel
+    from repro.nnf.queries import weighted_model_count
+    cnf = random_cnf(random.Random(1602), max_vars=9)
+    root = DnnfCompiler().compile(cnf)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    variables = range(1, cnf.num_vars + 1)
+    weighted_model_count(root, random_weights(random.Random(3),
+                                              variables), variables)
+    assert get_kernel(root)._codegen.stats["codegen_compiles"] == 1
+    assert list(cache.rglob("*")) == []
 
 
-def test_foreign_source_under_right_key_rejected(tmp_path):
-    """A sealed source whose embedded circuit digest differs from the
-    store key (wrong file copied into place) is regenerated, not
-    trusted."""
-    kernel_a = fresh_kernel(Cnf([(1, 2)], num_vars=2))
-    kernel_b = fresh_kernel(Cnf([(1, 2), (-1, 3), (2, 3)], num_vars=3))
-    store = ArtifactStore(tmp_path / "cache")
-    compile_circuit(kernel_a, store)
-    foreign = store.path_for(kernel_a.ir.digest(), "gen.py").read_text()
-    key_b = kernel_b.ir.digest()
-    store.save_codegen(key_b, foreign)
-    compiled = compile_circuit(kernel_b, store)
-    assert compiled.model_count() == kernel_b.model_count()
+class TestNoExecLint:
+    """Lint rule ``no-exec``: no scanned file calls the bare builtins
+    ``eval``/``exec``/``compile``; method calls stay legal."""
+
+    @staticmethod
+    def _lint():
+        path = os.path.join(REPO_ROOT, "tools", "lint_invariants.py")
+        spec = importlib.util.spec_from_file_location("lint_inv", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_repo_is_clean(self):
+        lint = self._lint()
+        violations = [v for v in lint.collect_violations(
+            os.path.join(REPO_ROOT, "src", "repro"))
+            if v[2] == "no-exec"]
+        assert violations == []
+
+    def test_bare_builtins_are_flagged_everywhere(self, tmp_path):
+        lint = self._lint()
+        package = tmp_path / "ir"
+        package.mkdir()
+        # the one function the rule used to exempt is no exception
+        (package / "codegen.py").write_text(
+            "def audited_compile(text, namespace):\n"
+            "    exec(text, namespace)\n")
+        (package / "evaluate.py").write_text(
+            "value = eval('1 + 1')\n"
+            "code = compile('x = 1', '<text>', 'exec')\n")
+        (package / "fine.py").write_text(
+            "import re\n"
+            "def f(cnf, compiler):\n"
+            "    pattern = re.compile('x')\n"
+            "    return compiler.compile(cnf), pattern\n")
+        violations = [v for v in lint.collect_violations(str(tmp_path))
+                      if v[2] == "no-exec"]
+        flagged = sorted((os.path.basename(v[0]), v[1])
+                         for v in violations)
+        assert flagged == [("codegen.py", 2), ("evaluate.py", 1),
+                           ("evaluate.py", 2)]
 
 
 # -- binary CSR sidecar ------------------------------------------------------

@@ -337,6 +337,29 @@ def test_store_gc_reaps_orphans_and_spares_live_files(tmp_path):
                                  optimize=True) is not None
 
 
+def test_store_gc_reaps_generated_sources(tmp_path):
+    """Stores written before evaluators were built in-process hold
+    ``.gen.py`` sources under the circuit's IR digest, which the
+    certificate once vouched for; nothing reads them now, so gc
+    reaps every one."""
+    cnf = Cnf([(1, 2), (-1, 3), (2, -3)], num_vars=3)
+    store = ArtifactStore(str(tmp_path))
+    ticket = facade.compile_ticket(cnf.to_dimacs())
+    facade.compile_to_store(ticket, store)
+    ir = store.load_nnf(ticket.key)
+    source = store.path_for(ir.digest(), "gen.py")
+    source.parent.mkdir(parents=True, exist_ok=True)
+    source.write_text("# repro-codegen/2 sha256:00\n")
+    dry = store.gc(now=0.0, dry_run=True)
+    assert dry["by_class"]["orphan_gen"]["files"] == 1
+    assert source.exists()
+    real = store.gc(now=0.0)
+    assert real["by_class"] == dry["by_class"]
+    assert not source.exists()
+    assert facade.query_artifact(store, ticket.key, "count",
+                                 num_vars=3)["result"] == 3
+
+
 # -- aux-variable metadata ---------------------------------------------------
 
 def test_tseitin_records_aux_vars():

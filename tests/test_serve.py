@@ -369,6 +369,44 @@ class TestLoadGenerator:
         assert report["rps"] > 0
 
 
+class TestWorkerPool:
+    def test_killed_worker_leaves_the_others_serving(self):
+        import signal
+        import time
+        instance = Server(ServerConfig(port=0, workers=2))
+        client = ServeClient(*instance.start())
+        try:
+            _, body = client.compile(SMALL)
+            pids = {client.query(body["key"], "count")[1]["pid"]
+                    for _ in range(8)}
+            victim = min(pids)
+            os.kill(victim, signal.SIGKILL)
+            time.sleep(0.2)
+            replies = [client.query(body["key"], "count", num_vars=4)
+                       for _ in range(6)]
+            assert [status for status, _ in replies] == [200] * 6
+            assert {reply["result"] for _, reply in replies} == \
+                {str(SMALL_COUNT)}
+            assert victim not in {reply["pid"] for _, reply in replies}
+        finally:
+            client.close()
+            instance.stop()
+
+    def test_stop_reaps_every_worker(self):
+        import multiprocessing
+        instance = Server(ServerConfig(port=0, workers=2))
+        client = ServeClient(*instance.start())
+        try:
+            _, body = client.compile(SMALL)
+            pids = {client.query(body["key"], "count")[1]["pid"]
+                    for _ in range(8)}
+        finally:
+            client.close()
+            instance.stop()
+        live = {child.pid for child in multiprocessing.active_children()}
+        assert pids and not pids & live
+
+
 # -- the serve-isolation lint rule ---------------------------------------------
 class TestServeIsolationLint:
     @staticmethod

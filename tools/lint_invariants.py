@@ -24,13 +24,12 @@ Seven rules, each guarding a deliberate architectural boundary:
    Lowering/serialization code legitimately writes flags and is not
    in the query layer.
 
-4. **audited-compile** — generated-evaluator sources are artifact
-   bytes and must never reach the interpreter except through the one
-   sealed entry point: no production module may call the builtin
-   ``eval``/``exec``/``compile`` outside ``audited_compile`` in
-   ``ir/codegen.py``, which verifies the source's embedded
-   self-hash before compiling it with empty builtins.  Method calls
-   like ``cnf.compile(...)`` are fine — only the bare builtins are
+4. **no-exec** — no bytes become code: no scanned file may call the
+   bare builtins ``eval``/``exec``/``compile``, with no exemption.
+   Circuit evaluators are built in-process from the IR, so nothing
+   read from a store, a request or any other file can reach the
+   interpreter.  Method calls like ``re.compile(...)`` or
+   ``cnf.compile(...)`` are fine — only the bare builtins are
    flagged.
 
 5. **serve-isolation** — the serving layer (``repro/serve/``) must
@@ -46,9 +45,8 @@ Seven rules, each guarding a deliberate architectural boundary:
    a :class:`CircuitIR` (directly or via ``IrBuilder``): the IR core
    itself, the lowerings, the serializers, and the certified pass
    manager (``repro/ir/passes.py``), where every rewrite is
-   verification-gated before it can replace a circuit.
-   ``analyze/repair.py`` stays on the allowlist as the migration shim
-   for the gate's auto-smoothing.  An ad-hoc ``IrBuilder`` elsewhere
+   verification-gated before it can replace a circuit (the gate's
+   auto-smoothing included).  An ad-hoc ``IrBuilder`` elsewhere
    would be an unaudited circuit rewrite — exactly the class of bug
    the certification gate exists to catch.
 
@@ -64,7 +62,7 @@ Seven rules, each guarding a deliberate architectural boundary:
 Scanned roots: ``src/repro`` (relative paths like ``ir/store.py``),
 plus ``tools/`` and ``benchmarks/`` under those prefixes — so the
 src-keyed rules (clock-injection, flag-trust, ...) cannot misfire on
-them, while the everywhere-rules (audited-compile, legacy-isolation,
+them, while the everywhere-rules (no-exec, legacy-isolation,
 rewrite-isolation) do apply.  Tests are not linted.
 
 Exit status 1 with ``file:line: rule message`` diagnostics on any
@@ -186,33 +184,15 @@ def check_flag_trust(path: Path, rel: str,
                            f"query-layer import of {alias.name}")
 
 
-#: the one function allowed to call compile()/exec() (rule 4)
-AUDITED_COMPILE = ("ir/codegen.py", "audited_compile")
-
-
-def check_audited_compile(path: Path, rel: str,
-                          tree: ast.Module) -> Iterator[Violation]:
-    allowed_file, allowed_func = AUDITED_COMPILE
-
-    def scan(node: ast.AST, inside_audited: bool) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
-            here = inside_audited
-            if isinstance(child, (ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                here = rel == allowed_file and \
-                    child.name == allowed_func
-            if isinstance(child, ast.Call) and \
-                    isinstance(child.func, ast.Name) and \
-                    child.func.id in ("eval", "exec", "compile") and \
-                    not here:
-                yield (path, child.lineno, "audited-compile",
-                       f"bare {child.func.id}() outside "
-                       f"{allowed_file}:{allowed_func} — generated "
-                       f"sources compile only through the audited, "
-                       f"integrity-checked entry point")
-            yield from scan(child, here)
-
-    yield from scan(tree, False)
+def check_no_exec(path: Path, rel: str,
+                  tree: ast.Module) -> Iterator[Violation]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and \
+                node.func.id in ("eval", "exec", "compile"):
+            yield (path, node.lineno, "no-exec",
+                   f"bare {node.func.id}() — no bytes become code; "
+                   f"build evaluators in-process from the IR")
 
 
 #: repro packages/modules the serving layer may import (rule 5) —
@@ -333,7 +313,6 @@ REWRITE_ALLOWED = (
     "ir/lower.py",
     "ir/serialize.py",
     "ir/passes.py",
-    "analyze/repair.py",  # migration shim; delegates to ir/passes
 )
 
 
@@ -376,7 +355,7 @@ def collect_violations(src_root: Path,
         violations.extend(check_legacy_isolation(path, rel, tree))
         violations.extend(check_clock_injection(path, rel, tree))
         violations.extend(check_flag_trust(path, rel, tree))
-        violations.extend(check_audited_compile(path, rel, tree))
+        violations.extend(check_no_exec(path, rel, tree))
         violations.extend(check_serve_isolation(path, rel, tree))
         violations.extend(check_rewrite_isolation(path, rel, tree))
         violations.extend(check_proof_isolation(path, rel, tree))

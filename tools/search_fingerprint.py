@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Fingerprint what the exhaustive search produces, for diffing builds.
+"""Fingerprint what the search and the queries produce, for diffing builds.
 
 Runs a fixed corpus through every front end of the component search
-and prints one SHA-256 per corpus part and output kind.  Run it on two
+and through the facade's queries on the stored circuits, and prints
+one SHA-256 per corpus part and output kind.  Run it on two
 checkouts (``PYTHONPATH=<checkout>/src``) and diff the output: equal
 lines mean the two builds wrote the same bytes and counters and gave
 the same answers on that part of the corpus.
@@ -20,7 +21,14 @@ The corpus: the ``tools/proof_check.py`` inputs (its edge cases plus
 * ``counts``: ``ModelCounter().count`` and unbudgeted
   ``anytime_count``;
 * ``wmc``: unbudgeted ``anytime_wmc`` with the input's weights (floats
-  by ``repr``, so equal means bit-equal).
+  by ``repr``, so equal means bit-equal);
+* ``queries``: on the ``proof=False`` store, the ``facade.query_artifact``
+  replies to ``count``, ``marginals``, ``wmc`` and ``mpe`` (the input's
+  weights) and to one ``weight_batch`` of the weights and their
+  phase-swapped twin (floats by ``repr``);
+* ``store``: the file extensions that store holds after those queries,
+  printed as their union over the part rather than digested, so a
+  change in what the store keeps reads directly.
 
 Usage::
 
@@ -44,6 +52,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 COUNTERS = ("decisions", "propagations", "clause_visits", "cache_hits",
             "component_splits", "components_found", "proof_steps")
+
+QUERIES = ("count", "marginals", "wmc", "mpe")
 
 
 def corpus(cold: int, seeds):
@@ -69,6 +79,21 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def answers(store, ticket, weights) -> list:
+    """The facade's replies on the stored circuit, one per query kind
+    plus one weight batch."""
+    from repro.ir import facade
+    replies = [facade.query_artifact(
+        store, ticket.key, query, num_vars=ticket.num_vars,
+        weights=weights if query in ("wmc", "mpe") else None)
+        for query in QUERIES]
+    swapped = {lit: weights[-lit] for lit in weights}
+    replies.append(facade.query_artifact(
+        store, ticket.key, "wmc", num_vars=ticket.num_vars,
+        weight_batch=[weights, swapped]))
+    return replies
+
+
 def record(text: str, weights, work: Path) -> dict:
     from repro.compile.dnnf_compiler import DnnfCompiler
     from repro.ir import facade
@@ -85,6 +110,10 @@ def record(text: str, weights, work: Path) -> dict:
         out[f"{mode}.nnf"] = _sha(store.path_for(ticket.key, "nnf"))
         if proof:
             out["proof"] = _sha(store.path_for(ticket.key, "proof"))
+        else:
+            out["queries"] = answers(store, ticket, weights)
+            out["store"] = sorted({path.name.partition(".")[2]
+                                   for path in store.root.glob("*/*")})
         compiler = DnnfCompiler(store=None, proof=proof)
         compiler.compile(Cnf.from_dimacs(ticket.dimacs))
         out[f"{mode}.counters"] = [compiler.stats[name]
@@ -120,13 +149,16 @@ def main(argv=None) -> int:
                        for text, weights in part]
             dump[name] = records
             decisions = sum(r["plain.counters"][0] for r in records)
+            kinds = sorted(set().union(*(r["store"] for r in records)))
             print(f"{name}: {len(records)} inputs, {decisions} decisions"
                   f" | nnf {digest(records, ['plain.nnf', 'proof.nnf'])}"
                   f" proof {digest(records, ['proof'])}"
                   f" counters "
                   f"{digest(records, ['plain.counters', 'proof.counters'])}"
                   f" counts {digest(records, ['counts'])}"
-                  f" wmc {digest(records, ['wmc'])}", flush=True)
+                  f" wmc {digest(records, ['wmc'])}"
+                  f" queries {digest(records, ['queries'])}"
+                  f" store {','.join(kinds)}", flush=True)
     if args.dump:
         Path(args.dump).write_text(json.dumps(dump))
     return 0
