@@ -10,8 +10,7 @@ arbitrary evidence queries the dedicated model cannot.
 import math
 import random
 
-from repro.psdd import (learn_parameters, log_likelihood, marginal,
-                        psdd_from_sdd)
+from repro.psdd import learn_parameters, marginal, psdd_from_sdd
 from repro.sdd import model_count
 from repro.spaces import MallowsModel, RankingSpace, fit_mallows
 

@@ -592,25 +592,31 @@ def scenario_codegen_kernel(quick: bool):
             p = rng.random()
             weights[v], weights[-v] = p, 1.0 - p
         weight_vectors.append(weights)
-    kernel.set_backend("codegen")
-    kernel.wmc(weight_vectors[0])  # warm: build the plan
-    start = time.perf_counter()
-    codegen_values = [kernel.wmc(w) for w in weight_vectors]
-    for _ in range(reps):
-        kernel._model_count = None  # defeat the memo: time the pass
-        codegen_count = kernel.model_count()
-    mid = time.perf_counter()
-    codegen_stats = kernel._codegen.stats.as_dict()
-    kernel.set_backend("interp")
-    interp_values = [kernel.wmc(w) for w in weight_vectors]
-    for _ in range(reps):
-        kernel._model_count = None
-        interp_count = kernel.model_count()
-    end = time.perf_counter()
+    saved_backend = os.environ.get("REPRO_BACKEND")
+    try:
+        os.environ["REPRO_BACKEND"] = "codegen"
+        kernel.wmc(weight_vectors[0])  # warm: build the plan
+        start = time.perf_counter()
+        codegen_values = [kernel.wmc(w) for w in weight_vectors]
+        for _ in range(reps):
+            kernel._model_count = None  # defeat the memo: time the pass
+            codegen_count = kernel.model_count()
+        mid = time.perf_counter()
+        codegen_stats = kernel._codegen.stats.as_dict()
+        os.environ["REPRO_BACKEND"] = "interp"
+        interp_values = [kernel.wmc(w) for w in weight_vectors]
+        for _ in range(reps):
+            kernel._model_count = None
+            interp_count = kernel.model_count()
+        end = time.perf_counter()
+    finally:
+        if saved_backend is None:
+            os.environ.pop("REPRO_BACKEND", None)
+        else:
+            os.environ["REPRO_BACKEND"] = saved_backend
     agree = codegen_count == interp_count and all(
         abs(a - b) <= 1e-9 * max(1.0, abs(b))
         for a, b in zip(codegen_values, interp_values))
-    kernel.set_backend(None)
     return {
         "instance": {"n": n, "m": m, "seed": seed, "reps": reps,
                      "circuit_nodes": kernel.n,

@@ -6,7 +6,7 @@ Run:  python examples/quickstart.py
 from repro.logic import VarMap, parse, to_cnf
 from repro.compile import compile_cnf
 from repro.nnf import model_count, weighted_model_count
-from repro.sdd import compile_cnf_sdd, model_count as sdd_count
+from repro.sdd import compile_cnf_sdd
 from repro.psdd import learn_parameters, marginal, psdd_from_sdd
 from repro.classifiers import compile_naive_bayes, pregnancy_classifier
 from repro.explain import all_sufficient_reasons

@@ -24,12 +24,19 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 figure-by-figure reproduction record.
 """
 
-from . import (bayesnet, classifiers, compile, condpsdd, explain, logic,
-               nnf, obdd, pcircuits, psdd, robust, sat, sdd, solvers,
-               spaces, vtree, wmc)
+import importlib
 
 __version__ = "1.0.0"
 
 __all__ = ["bayesnet", "classifiers", "compile", "condpsdd", "explain",
-           "logic", "nnf", "obdd", "psdd", "robust", "sat", "sdd",
-           "solvers", "spaces", "vtree", "wmc", "__version__"]
+           "logic", "nnf", "obdd", "pcircuits", "psdd", "robust", "sat",
+           "sdd", "solvers", "spaces", "vtree", "wmc", "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    """Import a subpackage on first access (PEP 562), so ``import
+    repro`` (and every ``repro.<x>`` import) loads only what it uses:
+    the role-2/3 packages pull in networkx and numpy."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -195,12 +195,6 @@ def check_kernel(kernel: Any, query: str) -> Any:
         from ..ir.kernel import ir_kernel
         repaired = cert.repaired_smooth()
         twin = ir_kernel(repaired)
-        # the twin answers in the caller's place, so an explicit
-        # backend override must follow it (else a kernel pinned to the
-        # interpreter would silently answer through codegen, or vice
-        # versa, whenever repair re-dispatches)
-        if twin.backend != kernel.backend:
-            twin.set_backend(kernel.backend)
         twin_cert = certificate_for(repaired)
         twin_cert.ensure(required)
         if not required & ~twin_cert.verified_mask:

@@ -418,8 +418,6 @@ def _run_query(args: argparse.Namespace) -> int:
                                 store)
     from .nnf.kernel import get_kernel
     kernel = get_kernel(circuit)
-    if getattr(args, "backend", None):
-        kernel.set_backend(args.backend)
     variables = range(1, cnf.num_vars + 1)
     if args.query == "count":
         print(f"s mc {queries.model_count(circuit, variables)}")
@@ -495,7 +493,8 @@ def _print_backend_stats(kernel) -> None:
     """Evaluator-backend counters for ``repro query --stats``: which
     backend answered, builds and fallbacks, and the build-vs-eval time
     split (see docs/performance.md)."""
-    print(f"c backend {kernel.backend_name()}")
+    from .ir.codegen import resolve_backend
+    print(f"c backend {resolve_backend()}")
     compiled = getattr(kernel, "_codegen", None)
     stats = getattr(compiled, "stats", None)
     if stats is not None and stats:
@@ -895,11 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--stats", action="store_true",
                        help="print compiler + artifact-store + "
                             "evaluator-backend counters")
-    query.add_argument("--backend", choices=["codegen", "interp"],
-                       help="circuit evaluator: per-circuit compiled "
-                            "numpy code (codegen, the default) or the "
-                            "reference interpreter (overrides "
-                            "$REPRO_BACKEND)")
     _add_budget_flags(query)
     query.add_argument(
         "--anytime", action="store_true",

@@ -11,11 +11,12 @@ its properties.  This package makes that concrete:
   lowering time and an interning pool for structural sharing;
 * :mod:`repro.ir.kernel` — :class:`IrKernel`, the single execution
   engine (sat / count / WMC / MPE / marginals, scalar and batched)
-  every family's queries dispatch through;
+  every family's queries dispatch through; its interpreter is one
+  upward fold and one downward pass, each taking a semiring;
 * :mod:`repro.ir.codegen` — the native-speed backend: each circuit's
   levelized plan (one numpy call per run of same-kind gates), built
-  in-process and run directly, selected by ``$REPRO_BACKEND`` /
-  :meth:`IrKernel.set_backend` with automatic interpreter fallback
+  in-process and run directly, selected by ``$REPRO_BACKEND`` (the
+  only backend switch) with automatic interpreter fallback
   (:class:`CodegenUnsupported`);
 * :mod:`repro.ir.lower` — lowerings ``*_to_ir`` from each family and
   the ``ir_to_nnf`` lifting;

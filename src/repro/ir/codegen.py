@@ -18,7 +18,7 @@ written, and no bytes reach ``compile``/``exec`` (the invariant lint's
 ``no-exec`` rule, ``tools/lint_invariants.py``, bans them everywhere).
 
 Supported queries: sat, model count, WMC (scalar / batch / log-batch),
-MPE (vectorized upward pass + exact interpreter-style traceback) and
+MPE (vectorized upward pass + the interpreter's traceback) and
 evaluation (scalar / batch).  Anything else — parameterised circuits
 (``KIND_PARAM`` leaves mid-EM), counts past float64's exact-integer
 range, empty circuits — raises :class:`CodegenUnsupported` and the
@@ -77,8 +77,8 @@ def _numpy() -> Any:
 
 
 def resolve_backend(explicit: Optional[str] = None) -> str:
-    """The active backend: an explicit kernel override wins, then
-    ``$REPRO_BACKEND``, then the default (``codegen``)."""
+    """The backend ``$REPRO_BACKEND`` selects (default ``codegen``),
+    or the validated ``explicit`` name when one is given."""
     value = explicit if explicit is not None else \
         os.environ.get(BACKEND_ENV, "codegen").strip().lower()
     if value not in BACKENDS:
@@ -471,52 +471,20 @@ class CompiledCircuit:
     def mpe(self, weights: Mapping[int, float],
             stats: Optional[Counter] = None
             ) -> Tuple[float, Dict[int, bool]]:
-        """Vectorized max-product upward pass; the traceback re-reads
-        edge scores exactly as the interpreter does, so the returned
-        assignment is bit-identical to the interpreted one."""
+        """Vectorized max-product upward pass, then the kernel's
+        traceback over the plan's values, so the assignment is
+        bit-identical to the interpreted one."""
         np = _numpy()
         plan = self.plan
-        kernel = self.kernel
         wvec = self._weight_vec(weights)
         gapvals = np.maximum(wvec[plan.gv_pos], wvec[plan.gv_neg])
         values = self._values(wvec, zero=-np.inf, one=1.0)
         self._pass_stats(stats)
         self._run("max", values, gapvals)
         pos = plan.pos
-
-        def best_literal(var: int) -> int:
-            return var if weights[var] >= weights[-var] else -var
-
-        assignment: Dict[int, bool] = {}
-        kinds = kernel.kinds
-        children = kernel.children
-        gap_vars = kernel.or_gap_vars
-        neg_inf = float("-inf")
-        stack = [self.n - 1]
-        while stack:
-            i = stack.pop()
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                lit = kernel.lits[i]
-                assignment[abs(lit)] = lit > 0
-            elif kind == KIND_AND:
-                stack.extend(children[i])
-            elif kind == KIND_OR:
-                gaps = gap_vars[i]
-                kids = children[i]
-                best_k, best_value = -1, neg_inf
-                for k in range(len(kids)):
-                    value = float(values[pos[kids[k]]])
-                    for var in gaps[k]:  # type: ignore[index]
-                        value *= weights[best_literal(var)]
-                    if value > best_value:
-                        best_k, best_value = k, value
-                if best_k >= 0:
-                    for var in gaps[best_k]:  # type: ignore[index]
-                        lit = best_literal(var)
-                        assignment[abs(lit)] = lit > 0
-                    stack.append(kids[best_k])
-        return float(values[plan.root]), assignment
+        item = values.item
+        return float(values[plan.root]), self.kernel._traceback(
+            lambda i: item(pos[i]), weights)
 
     def evaluate(self, assignment: Mapping[int, bool],
                  stats: Optional[Counter] = None) -> bool:

@@ -4,9 +4,8 @@ One :class:`IrKernel` per :class:`~repro.ir.core.CircuitIR` (obtain it
 with :func:`ir_kernel`; it is cached on the IR object, and IR interning
 makes structurally identical circuits share it).  The kernel owns the
 derived evaluation data — per-node variable sets and, for every
-or-gate edge, the *gap* variables the child is missing — and runs all
-scalar and batched query passes the per-family walkers used to
-implement separately:
+or-gate edge, the *gap* variables the child is missing — and answers
+every query family on the circuit:
 
 * sat / sat model (decomposability),
 * model count and WMC (determinism; non-smooth circuits handled by
@@ -29,14 +28,25 @@ functions of the per-call weights and never write to the memos — see
 ``tests/test_ir_roundtrip.py`` for the staleness regression tests.
 
 Every query first consults the codegen backend
-(:mod:`repro.ir.codegen`): unless ``$REPRO_BACKEND=interp`` (or
-:meth:`IrKernel.set_backend`) pins the interpreter, supported circuits
-run through the circuit's levelized plan — one numpy call per run of
-same-kind gates, built in-process once per circuit — and only fall
-back to the interpreted loops below on
-:class:`~repro.ir.codegen.CodegenUnsupported` (parameterised circuits,
-counts beyond float64's exact range, literal-free batches, no numpy).
-Both backends charge the same budget and pass the same gate.
+(:mod:`repro.ir.codegen`): unless ``$REPRO_BACKEND=interp`` selects
+the interpreter, supported circuits run through the circuit's
+levelized plan — one numpy call per run of same-kind gates, built
+in-process once per circuit — and only fall back to the interpreter
+on :class:`~repro.ir.codegen.CodegenUnsupported` (parameterised
+circuits, counts beyond float64's exact range, literal-free batches,
+no numpy).  Both backends charge the same budget and pass the same
+gate.
+
+The interpreter is one upward fold (:meth:`IrKernel._up`) and one
+downward pass (:meth:`IrKernel._down`) over the CSR arrays, each
+taking a :class:`_Semiring`.  Every query is the same bottom-up pass
+in a different semiring — linear (exact counts, WMC, the values under
+derivatives), log (log-space batches), max-product (MPE) and boolean
+(sat, evaluation) — and the derivative passes add the same top-down
+pass.  It walks the arrays node by node and never reads the plan, so
+it stays an independent reference for it, and it is the only engine
+for parameter leaves, counts past 52 variables, derivatives and sat
+models.
 
 numpy is imported lazily on the first batch call, so the scalar kernel
 works (and this module imports) without numpy.
@@ -44,13 +54,15 @@ works (and this module imports) without numpy.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import operator
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..limits.budget import resolve_budget
 from ..perf.instrument import Counter
 from .codegen import CodegenUnsupported, resolve_backend
 from .core import (CircuitIR, KIND_AND, KIND_FALSE, KIND_LIT, KIND_OR,
-                   KIND_PARAM)
+                   KIND_TRUE)
 
 __all__ = ["IrKernel", "ir_kernel", "pack_weight_batch",
            "pack_assignment_batch"]
@@ -64,6 +76,8 @@ Weights = Mapping[int, float]
 #: value of every batch member, as a length-N numpy array
 WeightBatch = Mapping[int, "object"]
 Params = Optional[Sequence[float]]
+#: the variables an or-gate child does not mention (its edge's gap)
+Gap = Tuple[int, ...]
 
 
 def _numpy() -> Any:
@@ -93,12 +107,73 @@ def pack_assignment_batch(assignments: Sequence[Mapping[int, bool]],
             for var in variables}
 
 
+# -- semirings ----------------------------------------------------------------
+
+class _Semiring(NamedTuple):
+    """What one pass computes in.  Gates fold their children left to
+    right with ``mul`` (and) or ``add`` (or), starting from ``one`` or
+    ``zero``, which are also the values of ⊤ and ⊥; ``leaf(i)`` is the
+    value of literal or parameter leaf ``i``, and ``gap(value,
+    variables)`` scales an or-edge by the variables its child does not
+    mention."""
+    zero: Any
+    one: Any
+    mul: Callable[[Any, Any], Any]
+    add: Callable[[Any, Any], Any]
+    leaf: Callable[[int], Any]
+    gap: Callable[[Any, Gap], Any]
+
+
+def _shift(count: int, gap: Gap) -> int:
+    """Each free variable doubles a count."""
+    return count << len(gap)
+
+
+def _not_smooth(value: Any, gap: Gap) -> Any:
+    raise ValueError("marginal_counts requires a smooth circuit")
+
+
+def _max(best: Any, value: Any) -> Any:
+    """The max-product sum: the first of equal maxima wins, as in
+    ``max``, at a third of its call cost."""
+    return value if value > best else best
+
+
+#: exact model counts over Python ints
+_COUNT = _Semiring(0, 1, operator.mul, operator.add, lambda i: 1, _shift)
+#: the counts under derivatives, which need a smooth circuit
+_SMOOTH_COUNT = _COUNT._replace(gap=_not_smooth)
+#: per-node satisfiability of a DNNF (``v ∨ ¬v`` holds, so an or-edge
+#: keeps its value)
+_SAT = _Semiring(False, True, operator.and_, operator.or_,
+                 lambda i: True, lambda value, gap: value)
+
+
+def _weighted_gap(weights: Mapping[int, Any],
+                  mul: Callable[[Any, Any], Any],
+                  add: Callable[[Any, Any], Any]
+                  ) -> Callable[[Any, Gap], Any]:
+    """The gap factor of a weighted semiring: each free variable
+    multiplies the edge by the sum of its two literals' weights."""
+    def gap(value: Any, variables: Gap) -> Any:
+        for var in variables:
+            value = mul(value, add(weights[var], weights[-var]))
+        return value
+    return gap
+
+
+def _weighted(zero: Any, one: Any, mul: Callable[[Any, Any], Any],
+              add: Callable[[Any, Any], Any], leaf: Callable[[int], Any],
+              weights: Mapping[int, Any]) -> _Semiring:
+    return _Semiring(zero, one, mul, add, leaf,
+                     _weighted_gap(weights, mul, add))
+
+
 class IrKernel:
     """Dense-array evaluation engine for one flattened circuit."""
 
     __slots__ = ("ir", "n", "kinds", "lits", "children", "varsets",
-                 "or_gap_bits", "or_gap_vars", "budget", "backend",
-                 "_codegen", "_scratch",
+                 "or_gap_vars", "budget", "_codegen",
                  "_model_count", "_sat", "_derivatives", "_certificate")
 
     def __init__(self, ir: CircuitIR) -> None:
@@ -116,26 +191,15 @@ class IrKernel:
         self.children: List[Tuple[int, ...]] = ir.child_lists()
         varsets = ir.varsets()
         self.varsets = varsets
-        # per-or-gate gap data, aligned with self.children[i]
-        self.or_gap_bits: List[Optional[Tuple[int, ...]]] = [None] * n
-        self.or_gap_vars: List[Optional[Tuple[Tuple[int, ...], ...]]] = \
-            [None] * n
+        #: per or-gate, the gap of every edge (aligned with
+        #: ``self.children[i]``); ``()`` for every other node
+        self.or_gap_vars: List[Tuple[Gap, ...]] = [()] * n
         for i in range(n):
-            if self.kinds[i] != KIND_OR:
-                continue
-            node_vars = varsets[i]
-            gaps = []
-            gap_vars = []
-            for c in self.children[i]:
-                missing = node_vars - varsets[c]
-                gaps.append(len(missing))
-                gap_vars.append(tuple(sorted(missing)))
-            self.or_gap_bits[i] = tuple(gaps)
-            self.or_gap_vars[i] = tuple(gap_vars)
-        self._scratch: List = [None] * n
-        #: backend override: None defers to ``$REPRO_BACKEND``
-        #: (default ``codegen``); see :meth:`set_backend`
-        self.backend: Optional[str] = None
+            if self.kinds[i] == KIND_OR:
+                node_vars = varsets[i]
+                self.or_gap_vars[i] = tuple(
+                    tuple(sorted(node_vars - varsets[c]))
+                    for c in self.children[i])
         self._codegen: Any = None
         self._model_count: Optional[int] = None
         self._sat: Optional[List[bool]] = None
@@ -158,26 +222,12 @@ class IrKernel:
         self._codegen = None
 
     # -- backend selection ---------------------------------------------------
-    def set_backend(self, backend: Optional[str]) -> None:
-        """Pin this kernel to ``"codegen"`` or ``"interp"``; ``None``
-        defers back to ``$REPRO_BACKEND`` (default ``codegen``).  Any
-        compiled evaluator is dropped so the choice takes effect
-        immediately."""
-        if backend is not None:
-            resolve_backend(backend)  # validate
-        self.backend = backend
-        self._codegen = None
-
-    def backend_name(self) -> str:
-        """The backend this kernel resolves to right now."""
-        return resolve_backend(self.backend)
-
     def _compiled(self) -> Any:
         """The circuit's CompiledCircuit, or None when the interpreter
-        should run (interp backend, unsupported circuit, no numpy).
-        The compiled program is cached until :meth:`invalidate` or
-        :meth:`set_backend`."""
-        if resolve_backend(self.backend) != "codegen":
+        should run (``$REPRO_BACKEND=interp``, unsupported circuit, no
+        numpy).  The compiled program is cached until
+        :meth:`invalidate`."""
+        if resolve_backend() != "codegen":
             return None
         cg = self._codegen
         if cg is None:
@@ -189,6 +239,21 @@ class IrKernel:
             self._codegen = cg
         return None if cg is _CODEGEN_UNSUPPORTED else cg
 
+    def _via_codegen(self, query: str, *args: Any) -> Any:
+        """``query``'s answer from the circuit's levelized plan, or
+        None when the interpreter answers instead: under the interp
+        backend, on a circuit the plan does not cover, or when the
+        plan declines this call (counted in ``codegen_fallbacks``).
+        No plan query answers None."""
+        cg = self._compiled()
+        if cg is None:
+            return None
+        try:
+            return getattr(cg, query)(*args)
+        except CodegenUnsupported:
+            cg.stats.incr("codegen_fallbacks")
+            return None
+
     def _charge(self, passes: int = 1) -> None:
         """Charge the (explicit or ambient) budget for ``passes`` full
         sweeps of the circuit; raises BudgetExceeded on exhaustion."""
@@ -197,6 +262,16 @@ class IrKernel:
             budget.tick(passes * self.n,
                         partial={"operation": "kernel-pass",
                                  "circuit_nodes": self.n})
+
+    def _sweeps(self, stats: Counter | None, passes: int = 1,
+                batch: Optional[int] = None) -> None:
+        """Charge and count ``passes`` interpreted sweeps (over
+        ``batch`` columns for the batched passes)."""
+        self._charge(passes)
+        if stats is not None:
+            stats.incr("nodes_visited", passes * self.n)
+            if batch is not None:
+                stats.incr("batch_columns", batch)
 
     def _gated(self, query: str) -> "IrKernel":
         """The query gate (:mod:`repro.analyze.gate`): the kernel the
@@ -207,32 +282,138 @@ class IrKernel:
         from ..analyze.gate import check_kernel
         return check_kernel(self, query)
 
-    def _params(self, params: Params, i: int) -> float:
-        if params is None:
-            raise ValueError(
-                "circuit has parameter leaves; pass params= (one value "
-                "per KIND_PARAM index)")
-        return params[self.lits[i]]
+    def _leaf(self, weights: Mapping[int, Any],
+              param: Optional[Callable[[Any], Any]],
+              params: Params) -> Callable[[int], Any]:
+        """Leaf values of a weighted pass: a literal's weight, and a
+        parameter leaf's θ, read from ``params`` now (``param(θ)`` when
+        given)."""
+        kinds = self.kinds
+        lits = self.lits
+
+        def leaf(i: int) -> Any:
+            if kinds[i] == KIND_LIT:
+                return weights[lits[i]]
+            if params is None:
+                raise ValueError(
+                    "circuit has parameter leaves; pass params= (one "
+                    "value per KIND_PARAM index)")
+            theta = params[lits[i]]
+            return theta if param is None else param(theta)
+        return leaf
+
+    # -- the interpreter -----------------------------------------------------
+    def _up(self, semiring: _Semiring) -> List[Any]:
+        """The upward fold: every node's value in ``semiring``,
+        children before parents."""
+        zero, one, mul, add, leaf, gap = semiring
+        values: List[Any] = [zero] * self.n
+        kinds = self.kinds
+        children = self.children
+        gap_vars = self.or_gap_vars
+        for i in range(self.n):
+            kind = kinds[i]
+            if kind == KIND_AND:
+                value = one
+                for c in children[i]:
+                    value = mul(value, values[c])
+                values[i] = value
+            elif kind == KIND_OR:
+                value = zero
+                gaps = gap_vars[i]
+                k = 0
+                for c in children[i]:
+                    g = gaps[k]
+                    value = add(value, gap(values[c], g) if g else values[c])
+                    k += 1
+                values[i] = value
+            elif kind == KIND_TRUE:
+                values[i] = one
+            elif kind != KIND_FALSE:
+                values[i] = leaf(i)
+        return values
+
+    def _down(self, semiring: _Semiring, values: List[Any]) -> List[Any]:
+        """The downward pass: d(root)/d(node) for every node, given the
+        upward ``values`` in the same semiring.  An or-gate passes its
+        derivative to each child through the edge's gap factor; an
+        and-gate passes it times the product of the other children,
+        from prefix and suffix products."""
+        zero, one, mul, add, _, gap = semiring
+        derivative: List[Any] = [zero] * self.n
+        if self.n:
+            derivative[self.n - 1] = one
+        kinds = self.kinds
+        children = self.children
+        gap_vars = self.or_gap_vars
+        for i in range(self.n - 1, -1, -1):
+            kind = kinds[i]
+            if kind == KIND_OR:
+                d = derivative[i]
+                gaps = gap_vars[i]
+                k = 0
+                for c in children[i]:
+                    g = gaps[k]
+                    derivative[c] = add(derivative[c],
+                                        gap(d, g) if g else d)
+                    k += 1
+            elif kind == KIND_AND:
+                d = derivative[i]
+                kids = children[i]
+                prefixes = []
+                prefix = one
+                for c in kids:
+                    prefixes.append(prefix)
+                    prefix = mul(prefix, values[c])
+                suffix = one
+                for j in range(len(kids) - 1, -1, -1):
+                    c = kids[j]
+                    derivative[c] = add(derivative[c],
+                                        mul(mul(d, prefixes[j]), suffix))
+                    suffix = mul(suffix, values[c])
+        return derivative
+
+    def _traceback(self, value: Callable[[int], float],
+                   weights: Weights) -> Dict[int, bool]:
+        """The MPE assignment below the root: and-gates expand every
+        child, or-gates their first best-scoring edge, whose gap
+        variables take their heavier literal.  ``value(i)`` is node
+        ``i``'s max-product value, from the interpreter or the plan."""
+        assignment: Dict[int, bool] = {}
+        gap = _weighted_gap(weights, operator.mul, _max)
+        kinds = self.kinds
+        children = self.children
+        gap_vars = self.or_gap_vars
+        neg_inf = float("-inf")
+        stack = [self.n - 1]
+        while stack:
+            i = stack.pop()
+            kind = kinds[i]
+            if kind == KIND_LIT:
+                lit = self.lits[i]
+                assignment[abs(lit)] = lit > 0
+            elif kind == KIND_AND:
+                stack.extend(children[i])
+            elif kind == KIND_OR:
+                gaps = gap_vars[i]
+                kids = children[i]
+                best_k, best_value = -1, neg_inf
+                for k in range(len(kids)):
+                    score = gap(value(kids[k]), gaps[k])
+                    if score > best_value:
+                        best_k, best_value = k, score
+                if best_k >= 0:
+                    for var in gaps[best_k]:
+                        assignment[var] = weights[var] >= weights[-var]
+                    stack.append(kids[best_k])
+        return assignment
 
     # -- satisfiability ------------------------------------------------------
     def sat_flags(self, stats: Counter | None = None) -> List[bool]:
         """Per-node satisfiability of a DNNF (memoised)."""
         if self._sat is None:
-            self._charge()
-            if stats is not None:
-                stats.incr("nodes_visited", self.n)
-            flags: List[bool] = [False] * self.n
-            kinds = self.kinds
-            children = self.children
-            for i in range(self.n):
-                kind = kinds[i]
-                if kind == KIND_AND:
-                    flags[i] = all(flags[c] for c in children[i])
-                elif kind == KIND_OR:
-                    flags[i] = any(flags[c] for c in children[i])
-                else:
-                    flags[i] = kind != KIND_FALSE
-            self._sat = flags
+            self._sweeps(stats)
+            self._sat = self._up(_SAT)
         return self._sat
 
     def sat(self, stats: Counter | None = None) -> bool:
@@ -240,12 +421,9 @@ class IrKernel:
         if kernel is not self:
             return kernel.sat(stats)
         if self._sat is None:
-            cg = self._compiled()
-            if cg is not None:
-                try:
-                    return cg.sat(stats)
-                except CodegenUnsupported:
-                    cg.stats.incr("codegen_fallbacks")
+            answer = self._via_codegen("sat", stats)
+            if answer is not None:
+                return answer
         return self.sat_flags(stats)[self.n - 1] if self.n else False
 
     def sat_model(self, stats: Counter | None = None
@@ -284,43 +462,14 @@ class IrKernel:
         if kernel is not self:
             return kernel.model_count(stats)
         if self._model_count is None:
-            cg = self._compiled()
-            if cg is not None:
-                try:
-                    self._model_count = cg.model_count(stats)
-                    return self._model_count
-                except CodegenUnsupported:
-                    cg.stats.incr("codegen_fallbacks")
-            self._model_count = self._count_pass(stats)
+            count = self._via_codegen("model_count", stats)
+            if count is None:
+                self._sweeps(stats)
+                count = self._up(_COUNT)[self.n - 1] if self.n else 0
+            self._model_count = count
         elif stats is not None:
             stats.incr("kernel_memo_hits")
         return self._model_count
-
-    def _count_pass(self, stats: Counter | None = None) -> int:
-        self._charge()
-        if stats is not None:
-            stats.incr("nodes_visited", self.n)
-        counts = self._scratch
-        kinds = self.kinds
-        children = self.children
-        gap_bits = self.or_gap_bits
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_AND:
-                value = 1
-                for c in children[i]:
-                    value *= counts[c]
-                counts[i] = value
-            elif kind == KIND_OR:
-                total = 0
-                gaps = gap_bits[i]
-                kids = children[i]
-                for k in range(len(kids)):
-                    total += counts[kids[k]] << gaps[k]
-                counts[i] = total
-            else:
-                counts[i] = 0 if kind == KIND_FALSE else 1
-        return counts[self.n - 1] if self.n else 0
 
     def wmc(self, weights: Weights, stats: Counter | None = None,
             params: Params = None) -> float:
@@ -333,43 +482,13 @@ class IrKernel:
         kernel = self._gated("wmc")
         if kernel is not self:
             return kernel.wmc(weights, stats, params)
-        cg = self._compiled()
-        if cg is not None:
-            try:
-                return cg.wmc(weights, stats)
-            except CodegenUnsupported:
-                cg.stats.incr("codegen_fallbacks")
-        self._charge()
-        if stats is not None:
-            stats.incr("nodes_visited", self.n)
-        values = self._scratch
-        kinds = self.kinds
-        children = self.children
-        gap_vars = self.or_gap_vars
-        lits = self.lits
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                values[i] = weights[lits[i]]
-            elif kind == KIND_AND:
-                value = 1.0
-                for c in children[i]:
-                    value *= values[c]
-                values[i] = value
-            elif kind == KIND_OR:
-                total = 0.0
-                gaps = gap_vars[i]
-                kids = children[i]
-                for k in range(len(kids)):
-                    factor = values[kids[k]]
-                    for var in gaps[k]:
-                        factor *= weights[var] + weights[-var]
-                    total += factor
-                values[i] = total
-            elif kind == KIND_PARAM:
-                values[i] = self._params(params, i)
-            else:
-                values[i] = 0.0 if kind == KIND_FALSE else 1.0
+        answer = self._via_codegen("wmc", weights, stats)
+        if answer is not None:
+            return answer
+        self._sweeps(stats)
+        values = self._up(_weighted(0.0, 1.0, operator.mul, operator.add,
+                                    self._leaf(weights, None, params),
+                                    weights))
         return values[self.n - 1] if self.n else 0.0
 
     # -- optimisation --------------------------------------------------------
@@ -379,91 +498,19 @@ class IrKernel:
         kernel = self._gated("mpe")
         if kernel is not self:
             return kernel.mpe(weights, stats, params)
-        cg = self._compiled()
-        if cg is not None:
-            try:
-                return cg.mpe(weights, stats)
-            except CodegenUnsupported:
-                cg.stats.incr("codegen_fallbacks")
-        self._charge()
-        if stats is not None:
-            stats.incr("nodes_visited", self.n)
-
-        def best_literal(var: int) -> int:
-            return var if weights[var] >= weights[-var] else -var
-
-        values: List[float] = [0.0] * self.n
-        kinds = self.kinds
-        children = self.children
-        gap_vars = self.or_gap_vars
-        neg_inf = float("-inf")
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                values[i] = weights[self.lits[i]]
-            elif kind == KIND_AND:
-                value = 1.0
-                for c in children[i]:
-                    value *= values[c]
-                values[i] = value
-            elif kind == KIND_OR:
-                best = neg_inf
-                gaps = gap_vars[i]
-                kids = children[i]
-                for k in range(len(kids)):
-                    value = values[kids[k]]
-                    for var in gaps[k]:
-                        value *= weights[best_literal(var)]
-                    if value > best:
-                        best = value
-                values[i] = best
-            elif kind == KIND_PARAM:
-                values[i] = self._params(params, i)
-            else:
-                values[i] = neg_inf if kind == KIND_FALSE else 1.0
-        assignment: Dict[int, bool] = {}
+        answer = self._via_codegen("mpe", weights, stats)
+        if answer is not None:
+            return answer
+        self._sweeps(stats)
+        values = self._up(_weighted(float("-inf"), 1.0, operator.mul,
+                                    _max, self._leaf(weights, None, params),
+                                    weights))
         if not self.n:
-            return 0.0, assignment
-        stack = [self.n - 1]
-        while stack:
-            i = stack.pop()
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                lit = self.lits[i]
-                assignment[abs(lit)] = lit > 0
-            elif kind == KIND_AND:
-                stack.extend(children[i])
-            elif kind == KIND_OR:
-                gaps = gap_vars[i]
-                kids = children[i]
-                best_k, best_value = -1, neg_inf
-                for k in range(len(kids)):
-                    value = values[kids[k]]
-                    for var in gaps[k]:
-                        value *= weights[best_literal(var)]
-                    if value > best_value:
-                        best_k, best_value = k, value
-                if best_k >= 0:
-                    for var in gaps[best_k]:
-                        lit = best_literal(var)
-                        assignment[abs(lit)] = lit > 0
-                    stack.append(kids[best_k])
-        return values[self.n - 1], assignment
+            return 0.0, {}
+        return values[self.n - 1], self._traceback(values.__getitem__,
+                                                   weights)
 
     # -- marginals -----------------------------------------------------------
-    def smooth_or_gates(self) -> bool:
-        """True when every or-gate's children share one variable set."""
-        for i in range(self.n):
-            if self.kinds[i] == KIND_OR and self.children[i]:
-                gaps = self.or_gap_bits[i]
-                if any(gaps):
-                    return False
-                first = self.varsets[self.children[i][0]]
-                for c in self.children[i][1:]:
-                    if self.varsets[c] != first:
-                        return False
-        return True
-
     def derivatives(self, stats: Counter | None = None) -> List[int]:
         """d(root count)/d(node) for every node of a smooth d-DNNF
         (memoised): the downward differential pass of the marginals
@@ -475,48 +522,10 @@ class IrKernel:
             if stats is not None:
                 stats.incr("kernel_memo_hits")
             return self._derivatives
-        self._charge(2)
-        if stats is not None:
-            stats.incr("nodes_visited", 2 * self.n)
-        counts: List[int] = [0] * self.n
-        kinds = self.kinds
-        children = self.children
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_AND:
-                value = 1
-                for c in children[i]:
-                    value *= counts[c]
-                counts[i] = value
-            elif kind == KIND_OR:
-                if self.children[i] and \
-                        len({self.varsets[c] for c in children[i]}) != 1:
-                    raise ValueError(
-                        "marginal_counts requires a smooth circuit")
-                counts[i] = sum(counts[c] for c in children[i])
-            else:
-                counts[i] = 0 if kind == KIND_FALSE else 1
-        derivative: List[int] = [0] * self.n
-        if self.n:
-            derivative[self.n - 1] = 1
-        for i in range(self.n - 1, -1, -1):
-            d = derivative[i]
-            kind = kinds[i]
-            if d == 0 or (kind != KIND_AND and kind != KIND_OR):
-                continue
-            kids = children[i]
-            if kind == KIND_OR:
-                for c in kids:
-                    derivative[c] += d
-            else:
-                for c in kids:
-                    partial = d
-                    for s in kids:
-                        if s != c:
-                            partial *= counts[s]
-                    derivative[c] += partial
-        self._derivatives = derivative
-        return derivative
+        self._sweeps(stats, passes=2)
+        counts = self._up(_SMOOTH_COUNT)
+        self._derivatives = self._down(_SMOOTH_COUNT, counts)
+        return self._derivatives
 
     def marginals(self, stats: Counter | None = None) -> Dict[int, int]:
         """Literal → number of root models containing it (smooth
@@ -535,30 +544,19 @@ class IrKernel:
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, assignment: Mapping[int, bool],
                  stats: Counter | None = None) -> bool:
-        cg = self._compiled()
-        if cg is not None:
-            try:
-                return cg.evaluate(assignment, stats)
-            except CodegenUnsupported:
-                cg.stats.incr("codegen_fallbacks")
-        self._charge()
-        if stats is not None:
-            stats.incr("nodes_visited", self.n)
-        values = self._scratch
+        answer = self._via_codegen("evaluate", assignment, stats)
+        if answer is not None:
+            return answer
+        self._sweeps(stats)
         kinds = self.kinds
-        children = self.children
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                lit = self.lits[i]
-                value = assignment[abs(lit)]
-                values[i] = value if lit > 0 else not value
-            elif kind == KIND_AND:
-                values[i] = all(values[c] for c in children[i])
-            elif kind == KIND_OR:
-                values[i] = any(values[c] for c in children[i])
-            else:
-                values[i] = kind != KIND_FALSE
+        lits = self.lits
+
+        def leaf(i: int) -> bool:
+            if kinds[i] != KIND_LIT:
+                return True  # a parameter leaf holds
+            lit = lits[i]
+            return bool(assignment[abs(lit)]) == (lit > 0)
+        values = self._up(_SAT._replace(leaf=leaf))
         return bool(values[self.n - 1]) if self.n else False
 
     # -- batched passes ------------------------------------------------------
@@ -572,12 +570,33 @@ class IrKernel:
         raise ValueError("cannot infer the batch size from an empty "
                          "weight/assignment batch")
 
-    def _count_batch_stats(self, stats: Counter | None, batch: int,
-                           passes: int = 1) -> None:
-        self._charge(passes)
-        if stats is not None:
-            stats.incr("nodes_visited", passes * self.n)
-            stats.incr("batch_columns", batch)
+    def _linear_batch(self, weights: WeightBatch, stats: Counter | None,
+                      params: Params, passes: int) -> _Semiring:
+        """The linear semiring over length-N rows, after the sweep
+        charge."""
+        np = _numpy()
+        batch = self._batch_size(weights)
+        self._sweeps(stats, passes, batch)
+        ones = np.ones(batch)
+        return _weighted(np.zeros(batch), ones, operator.mul, operator.add,
+                         self._leaf(weights, ones.__mul__, params), weights)
+
+    def _log_batch(self, log_weights: WeightBatch, stats: Counter | None,
+                   params: Params, passes: int) -> _Semiring:
+        """The log semiring over length-N rows (``-inf`` is zero), after
+        the sweep charge."""
+        np = _numpy()
+        batch = self._batch_size(log_weights)
+        self._sweeps(stats, passes, batch)
+        zeros = np.zeros(batch)
+
+        def log_param(theta: Any) -> Any:
+            with np.errstate(divide="ignore"):
+                return zeros + np.log(theta)
+        return _weighted(np.full(batch, -np.inf), zeros, operator.add,
+                         np.logaddexp,
+                         self._leaf(log_weights, log_param, params),
+                         log_weights)
 
     def wmc_batch(self, weights: WeightBatch,
                   stats: Counter | None = None,
@@ -591,46 +610,12 @@ class IrKernel:
         kernel = self._gated("wmc")
         if kernel is not self:
             return kernel.wmc_batch(weights, stats, params)
-        cg = self._compiled()
-        if cg is not None:
-            try:
-                return cg.wmc_batch(weights, stats)
-            except CodegenUnsupported:
-                cg.stats.incr("codegen_fallbacks")
-        np = _numpy()
-        batch = self._batch_size(weights)
-        self._count_batch_stats(stats, batch)
-        values: List = [None] * self.n
-        kinds = self.kinds
-        children = self.children
-        gap_vars = self.or_gap_vars
-        lits = self.lits
-        ones = np.ones(batch)
-        zeros = np.zeros(batch)
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                values[i] = weights[lits[i]]
-            elif kind == KIND_AND:
-                value = ones
-                for c in children[i]:
-                    value = value * values[c]
-                values[i] = value
-            elif kind == KIND_OR:
-                total = zeros
-                gaps = gap_vars[i]
-                kids = children[i]
-                for k in range(len(kids)):
-                    factor = values[kids[k]]
-                    for var in gaps[k]:
-                        factor = factor * (weights[var] + weights[-var])
-                    total = total + factor
-                values[i] = total
-            elif kind == KIND_PARAM:
-                values[i] = ones * self._params(params, i)
-            else:
-                values[i] = zeros if kind == KIND_FALSE else ones
-        return values[self.n - 1].copy() if self.n else zeros
+        answer = self._via_codegen("wmc_batch", weights, stats)
+        if answer is not None:
+            return answer
+        semiring = self._linear_batch(weights, stats, params, 1)
+        values = self._up(semiring)
+        return values[self.n - 1].copy() if self.n else semiring.zero
 
     def wmc_log_batch(self, log_weights: WeightBatch,
                       stats: Counter | None = None,
@@ -643,55 +628,12 @@ class IrKernel:
         kernel = self._gated("wmc")
         if kernel is not self:
             return kernel.wmc_log_batch(log_weights, stats, params)
-        cg = self._compiled()
-        if cg is not None:
-            try:
-                return cg.wmc_log_batch(log_weights, stats)
-            except CodegenUnsupported:
-                cg.stats.incr("codegen_fallbacks")
-        np = _numpy()
-        batch = self._batch_size(log_weights)
-        self._count_batch_stats(stats, batch)
-        values: List = [None] * self.n
-        kinds = self.kinds
-        children = self.children
-        gap_vars = self.or_gap_vars
-        lits = self.lits
-        zeros = np.zeros(batch)
-        neg_inf = np.full(batch, -np.inf)
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                values[i] = log_weights[lits[i]]
-            elif kind == KIND_AND:
-                value = zeros
-                for c in children[i]:
-                    value = value + values[c]
-                values[i] = value
-            elif kind == KIND_OR:
-                gaps = gap_vars[i]
-                kids = children[i]
-                if not kids:
-                    values[i] = neg_inf
-                    continue
-                rows = []
-                for k in range(len(kids)):
-                    row = values[kids[k]]
-                    for var in gaps[k]:
-                        row = row + np.logaddexp(log_weights[var],
-                                                 log_weights[-var])
-                    rows.append(row)
-                total = rows[0]
-                for row in rows[1:]:
-                    total = np.logaddexp(total, row)
-                values[i] = total
-            elif kind == KIND_PARAM:
-                theta = self._params(params, i)
-                with np.errstate(divide="ignore"):
-                    values[i] = zeros + np.log(theta)
-            else:
-                values[i] = neg_inf if kind == KIND_FALSE else zeros
-        return values[self.n - 1].copy() if self.n else neg_inf
+        answer = self._via_codegen("wmc_log_batch", log_weights, stats)
+        if answer is not None:
+            return answer
+        semiring = self._log_batch(log_weights, stats, params, 1)
+        values = self._up(semiring)
+        return values[self.n - 1].copy() if self.n else semiring.zero
 
     def evaluate_batch(self, assignment: WeightBatch,
                        stats: Counter | None = None) -> Any:
@@ -701,38 +643,25 @@ class IrKernel:
         array (see :func:`pack_assignment_batch`); returns a length-N
         bool array.
         """
-        cg = self._compiled()
-        if cg is not None:
-            try:
-                return cg.evaluate_batch(assignment, stats)
-            except CodegenUnsupported:
-                cg.stats.incr("codegen_fallbacks")
+        answer = self._via_codegen("evaluate_batch", assignment, stats)
+        if answer is not None:
+            return answer
         np = _numpy()
         batch = self._batch_size(assignment)
-        self._count_batch_stats(stats, batch)
-        values: List = [None] * self.n
-        kinds = self.kinds
-        children = self.children
+        self._sweeps(stats, batch=batch)
         true_row = np.ones(batch, dtype=bool)
         false_row = np.zeros(batch, dtype=bool)
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                lit = self.lits[i]
-                column = assignment[abs(lit)]
-                values[i] = column if lit > 0 else ~column
-            elif kind == KIND_AND:
-                value = true_row
-                for c in children[i]:
-                    value = value & values[c]
-                values[i] = value
-            elif kind == KIND_OR:
-                value = false_row
-                for c in children[i]:
-                    value = value | values[c]
-                values[i] = value
-            else:
-                values[i] = false_row if kind == KIND_FALSE else true_row
+        kinds = self.kinds
+        lits = self.lits
+
+        def leaf(i: int) -> Any:
+            if kinds[i] != KIND_LIT:
+                return true_row  # a parameter leaf holds
+            lit = lits[i]
+            column = assignment[abs(lit)]
+            return column if lit > 0 else ~column
+        values = self._up(_SAT._replace(zero=false_row, one=true_row,
+                                        leaf=leaf))
         return values[self.n - 1].copy() if self.n else false_row
 
     def derivatives_batch(self, weights: WeightBatch,
@@ -748,69 +677,9 @@ class IrKernel:
         contribute their ``W(v) + W(-v)`` factor on the edge.
         """
         self._gated("derivatives")  # gate only: node-indexed result
-        np = _numpy()
-        batch = self._batch_size(weights)
-        self._count_batch_stats(stats, batch, passes=2)
-        values: List = [None] * self.n
-        kinds = self.kinds
-        children = self.children
-        gap_vars = self.or_gap_vars
-        lits = self.lits
-        ones = np.ones(batch)
-        zeros = np.zeros(batch)
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                values[i] = weights[lits[i]]
-            elif kind == KIND_AND:
-                value = ones
-                for c in children[i]:
-                    value = value * values[c]
-                values[i] = value
-            elif kind == KIND_OR:
-                total = zeros
-                gaps = gap_vars[i]
-                kids = children[i]
-                for k in range(len(kids)):
-                    factor = values[kids[k]]
-                    for var in gaps[k]:
-                        factor = factor * (weights[var] + weights[-var])
-                    total = total + factor
-                values[i] = total
-            elif kind == KIND_PARAM:
-                values[i] = ones * self._params(params, i)
-            else:
-                values[i] = zeros if kind == KIND_FALSE else ones
-        derivative: List = [zeros] * self.n
-        if self.n:
-            derivative[self.n - 1] = ones
-        for i in range(self.n - 1, -1, -1):
-            kind = kinds[i]
-            if kind != KIND_AND and kind != KIND_OR:
-                continue
-            d = derivative[i]
-            kids = children[i]
-            if kind == KIND_OR:
-                gaps = gap_vars[i]
-                for k in range(len(kids)):
-                    edge = d
-                    for var in gaps[k]:
-                        edge = edge * (weights[var] + weights[-var])
-                    derivative[kids[k]] = derivative[kids[k]] + edge
-            else:
-                k = len(kids)
-                # prefix[j] = Π values of kids < j; suffix from the right
-                prefix = ones
-                prefixes = [None] * k
-                for j in range(k):
-                    prefixes[j] = prefix
-                    prefix = prefix * values[kids[j]]
-                suffix = ones
-                for j in range(k - 1, -1, -1):
-                    derivative[kids[j]] = derivative[kids[j]] + \
-                        d * prefixes[j] * suffix
-                    suffix = suffix * values[kids[j]]
-        return values, derivative
+        semiring = self._linear_batch(weights, stats, params, 2)
+        values = self._up(semiring)
+        return values, self._down(semiring, values)
 
     def derivatives_log_batch(self, log_weights: WeightBatch,
                               stats: Counter | None = None,
@@ -818,77 +687,9 @@ class IrKernel:
         """Log-space :meth:`derivatives_batch` (values and derivatives
         are logs; ``-inf`` encodes zero)."""
         self._gated("derivatives")  # gate only: node-indexed result
-        np = _numpy()
-        batch = self._batch_size(log_weights)
-        self._count_batch_stats(stats, batch, passes=2)
-        values: List = [None] * self.n
-        kinds = self.kinds
-        children = self.children
-        gap_vars = self.or_gap_vars
-        lits = self.lits
-        zeros = np.zeros(batch)
-        neg_inf = np.full(batch, -np.inf)
-        for i in range(self.n):
-            kind = kinds[i]
-            if kind == KIND_LIT:
-                values[i] = log_weights[lits[i]]
-            elif kind == KIND_AND:
-                value = zeros
-                for c in children[i]:
-                    value = value + values[c]
-                values[i] = value
-            elif kind == KIND_OR:
-                gaps = gap_vars[i]
-                kids = children[i]
-                if not kids:
-                    values[i] = neg_inf
-                    continue
-                total = None
-                for k in range(len(kids)):
-                    row = values[kids[k]]
-                    for var in gaps[k]:
-                        row = row + np.logaddexp(log_weights[var],
-                                                 log_weights[-var])
-                    total = row if total is None else \
-                        np.logaddexp(total, row)
-                values[i] = total
-            elif kind == KIND_PARAM:
-                theta = self._params(params, i)
-                with np.errstate(divide="ignore"):
-                    values[i] = zeros + np.log(theta)
-            else:
-                values[i] = neg_inf if kind == KIND_FALSE else zeros
-        derivative: List = [neg_inf] * self.n
-        if self.n:
-            derivative[self.n - 1] = zeros
-        for i in range(self.n - 1, -1, -1):
-            kind = kinds[i]
-            if kind != KIND_AND and kind != KIND_OR:
-                continue
-            d = derivative[i]
-            kids = children[i]
-            if kind == KIND_OR:
-                gaps = gap_vars[i]
-                for k in range(len(kids)):
-                    edge = d
-                    for var in gaps[k]:
-                        edge = edge + np.logaddexp(log_weights[var],
-                                                   log_weights[-var])
-                    derivative[kids[k]] = np.logaddexp(
-                        derivative[kids[k]], edge)
-            else:
-                k = len(kids)
-                prefix = zeros
-                prefixes = [None] * k
-                for j in range(k):
-                    prefixes[j] = prefix
-                    prefix = prefix + values[kids[j]]
-                suffix = zeros
-                for j in range(k - 1, -1, -1):
-                    derivative[kids[j]] = np.logaddexp(
-                        derivative[kids[j]], d + prefixes[j] + suffix)
-                    suffix = suffix + values[kids[j]]
-        return values, derivative
+        semiring = self._log_batch(log_weights, stats, params, 2)
+        values = self._up(semiring)
+        return values, self._down(semiring, values)
 
 
 def ir_kernel(ir: CircuitIR) -> IrKernel:

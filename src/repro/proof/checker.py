@@ -47,7 +47,7 @@ from ..limits.budget import Budget
 from ..logic.cnf import Cnf
 from .trace import (TraceError, conjoin_digest, dimacs_digest,
                     disjoin_digest, false_digest, literal_digest,
-                    parse_header, true_digest)
+                    parse_header)
 
 __all__ = ["PROVED", "REFUTED", "INCOMPLETE", "CheckResult",
            "check_proof"]

@@ -40,19 +40,12 @@ class WmcPipeline:
         :class:`~repro.limits.budget.BudgetExceeded` (see
         :mod:`repro.limits`).  An ambient budget governs when none is
         passed.
-    backend:
-        Evaluator backend for every query on the compiled circuit:
-        ``"codegen"`` (per-circuit compiled numpy evaluator) or
-        ``"interp"`` (the reference interpreted loops).  ``None``
-        defers to ``$REPRO_BACKEND`` / the codegen default.  See
-        :mod:`repro.ir.codegen`.
     """
 
     def __init__(self, network: BayesianNetwork,
                  encoding: str = "multistate",
                  exploit_determinism: bool = False,
-                 cache_dir=None, budget=None,
-                 backend: Optional[str] = None):
+                 cache_dir=None, budget=None):
         self.network = network
         if encoding == "binary":
             self.encoding: BnEncoding = encode_binary(
@@ -70,9 +63,6 @@ class WmcPipeline:
         self.circuit: NnfNode = self._compiler.compile(self.encoding.cnf)
         self._all_vars = list(range(1, self.encoding.cnf.num_vars + 1))
         self._ac: Optional[ArithmeticCircuit] = None
-        if backend is not None:
-            from ..nnf.kernel import get_kernel
-            get_kernel(self.circuit).set_backend(backend)
 
     @property
     def arithmetic_circuit(self) -> ArithmeticCircuit:
@@ -83,22 +73,6 @@ class WmcPipeline:
 
     def circuit_size(self) -> int:
         return self.circuit.edge_count()
-
-    def backend_name(self) -> str:
-        """The backend answering this pipeline's circuit queries."""
-        from ..nnf.kernel import get_kernel
-        return get_kernel(self.circuit).backend_name()
-
-    def backend_stats(self) -> Dict[str, int]:
-        """Codegen counters for the compiled circuit's evaluator
-        (compiles, source-cache hits, fallbacks, compile/eval time in
-        microseconds); empty before the first codegen query and under
-        the interpreter backend."""
-        from ..nnf.kernel import get_kernel
-        kernel = get_kernel(self.circuit)
-        compiled = getattr(kernel, "_codegen", None)
-        stats = getattr(compiled, "stats", None)
-        return stats.as_dict() if stats is not None else {}
 
     # -- queries ----------------------------------------------------------------
     def probability_of_evidence(self, evidence: Mapping[str, int]

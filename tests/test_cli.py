@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -151,3 +155,25 @@ def test_bad_dimacs(tmp_path, capsys):
     path.write_text("1 2 0\n")  # no header
     assert main(["count", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_import_loads_only_what_it_uses():
+    """``import repro`` imports its subpackages on first access, so the
+    query path never loads networkx or the role-2/3 packages, while
+    ``repro.<subpackage>`` attribute access still resolves."""
+    code = "\n".join([
+        "import sys",
+        "import repro.ir.facade",
+        "assert 'networkx' not in sys.modules",
+        "assert 'repro.spaces' not in sys.modules",
+        "import repro",
+        "assert repro.sdd.SddManager.__name__ == 'SddManager'",
+        "print('OK')",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "OK" in proc.stdout

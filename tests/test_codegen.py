@@ -13,8 +13,7 @@ import sys
 import pytest
 
 from repro.compile.dnnf_compiler import DnnfCompiler
-from repro.ir import (CodegenUnsupported, facade, ir_kernel, nnf_to_ir,
-                      psdd_to_ir)
+from repro.ir import CodegenUnsupported, facade, ir_kernel, nnf_to_ir
 from repro.ir.codegen import resolve_backend
 from repro.ir.core import IrBuilder
 from repro.ir.serialize import ir_from_csr_buffer, ir_to_csr_bytes
@@ -49,17 +48,16 @@ def random_weights(rng, variables):
 
 
 def fresh_kernel(cnf):
-    """A kernel over the compiled cnf with no backend override."""
+    """A kernel over the compiled cnf with no memoised results."""
     ir = nnf_to_ir(DnnfCompiler().compile(cnf))
     kernel = ir_kernel(ir)
-    kernel.set_backend(None)
     kernel.invalidate()
     return kernel
 
 
 # -- agreement corpus: codegen vs interpreter --------------------------------
 
-def test_codegen_matches_interpreter_on_random_circuits():
+def test_codegen_matches_interpreter_on_random_circuits(monkeypatch):
     """100 random d-DNNFs: every query the codegen backend serves
     (scalar, batch, log-space) equals the interpreted kernel."""
     rng = random.Random(2026)
@@ -79,7 +77,7 @@ def test_codegen_matches_interpreter_on_random_circuits():
                                     for _ in range(batch)])
                        for v in variables}
 
-        kernel.set_backend("interp")
+        monkeypatch.setenv("REPRO_BACKEND", "interp")
         expected = {
             "count": kernel.model_count(),
             "sat": kernel.sat(),
@@ -91,7 +89,7 @@ def test_codegen_matches_interpreter_on_random_circuits():
             "evaluate_batch": kernel.evaluate_batch(assign_rows),
         }
         kernel.invalidate()
-        kernel.set_backend("codegen")
+        monkeypatch.setenv("REPRO_BACKEND", "codegen")
         assert kernel.model_count() == expected["count"]
         assert kernel.sat() == expected["sat"]
         assert kernel.wmc(weights) == pytest.approx(expected["wmc"],
@@ -107,10 +105,9 @@ def test_codegen_matches_interpreter_on_random_circuits():
                            atol=1e-9)
         assert list(kernel.evaluate_batch(assign_rows)) == \
             list(expected["evaluate_batch"])
-        kernel.set_backend(None)
 
 
-def test_codegen_derivatives_still_interpreted():
+def test_codegen_derivatives_still_interpreted(monkeypatch):
     """Marginal/derivative queries stay on the exact interpreted path
     regardless of backend (memoised bigints; see the fallback table in
     docs/architecture.md)."""
@@ -118,11 +115,28 @@ def test_codegen_derivatives_still_interpreted():
     root = smooth(DnnfCompiler().compile(Cnf([(1, 2), (-1, 3)],
                                              num_vars=3)))
     kernel = ir_kernel(nnf_to_ir(root))
-    kernel.set_backend("codegen")
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
     derivs = kernel.derivatives()
-    kernel.set_backend("interp")
+    monkeypatch.setenv("REPRO_BACKEND", "interp")
     kernel.invalidate()
     assert kernel.derivatives() == derivs
+
+
+def test_derivatives_reject_non_smooth_circuits(monkeypatch):
+    """The counting pass under derivatives refuses an or-gate whose
+    children mention different variables, on either backend."""
+    builder = IrBuilder()
+    root = builder.disjoin([
+        builder.conjoin([builder.literal(1), builder.literal(2)]),
+        builder.literal(-1)])
+    kernel = ir_kernel(builder.finish(root))
+    for backend in ("codegen", "interp"):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        kernel.invalidate()
+        with pytest.raises(ValueError,
+                           match="marginal_counts requires a smooth "
+                                 "circuit"):
+            kernel.derivatives()
 
 
 # -- backend selection -------------------------------------------------------
@@ -140,19 +154,18 @@ def test_resolve_backend_precedence(monkeypatch):
         resolve_backend()
 
 
-def test_set_backend_validates_and_resets(monkeypatch):
+def test_backend_env_validates_on_next_query(monkeypatch):
+    """``$REPRO_BACKEND`` is read per query: an unknown value fails
+    the next query, and a valid one serves it."""
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     kernel = fresh_kernel(Cnf([(1, 2)], num_vars=2))
+    weights = {1: 0.5, -1: 0.5, 2: 0.5, -2: 0.5}
+    monkeypatch.setenv("REPRO_BACKEND", "turbo")
     with pytest.raises(ValueError):
-        kernel.set_backend("turbo")
-    kernel.set_backend("codegen")
-    kernel.wmc({1: 0.5, -1: 0.5, 2: 0.5, -2: 0.5})
+        kernel.wmc(weights)
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    assert kernel.wmc(weights) == pytest.approx(0.75)
     assert kernel._codegen is not None
-    kernel.set_backend("interp")
-    assert kernel._codegen is None  # switching drops the compilate
-    assert kernel.backend_name() == "interp"
-    kernel.set_backend(None)
-    assert kernel.backend_name() == "codegen"
 
 
 def test_interp_backend_never_compiles(monkeypatch):
@@ -164,11 +177,11 @@ def test_interp_backend_never_compiles(monkeypatch):
 
 # -- fallback domain ---------------------------------------------------------
 
-def test_param_circuits_fall_back_to_interpreter():
+def test_param_circuits_fall_back_to_interpreter(monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
     builder = IrBuilder()
     root = builder.conjoin([builder.literal(1), builder.param()])
     kernel = ir_kernel(builder.finish(root))
-    kernel.set_backend("codegen")
     assert kernel.wmc({1: 0.5, -1: 0.5}, params=[2.0]) == \
         pytest.approx(1.0)
     # the unsupported verdict is memoised: no per-query retry
@@ -176,17 +189,17 @@ def test_param_circuits_fall_back_to_interpreter():
     assert not hasattr(kernel._codegen, "wmc")
 
 
-def test_wide_count_falls_back_exactly():
+def test_wide_count_falls_back_exactly(monkeypatch):
     """#SAT beyond 52 variables leaves float64's exact integer range,
     so the generated count refuses and the interpreter's bigint pass
     answers."""
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
     n = 60
     builder = IrBuilder()
     root = builder.conjoin([
         builder.disjoin([builder.literal(v), builder.literal(-v)])
         for v in range(1, n + 1)])
     kernel = ir_kernel(builder.finish(root))
-    kernel.set_backend("codegen")
     assert kernel.model_count() == 2 ** n
     compiled = kernel._codegen
     assert hasattr(compiled, "model_count")  # compiled, then declined
@@ -194,27 +207,27 @@ def test_wide_count_falls_back_exactly():
         compiled.model_count()
 
 
-def test_literal_free_batch_falls_back():
+def test_literal_free_batch_falls_back(monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
     builder = IrBuilder()
     kernel = ir_kernel(builder.finish(builder.true()))
-    kernel.set_backend("codegen")
     rows = kernel.evaluate_batch({1: np.array([True, False])})
     assert list(rows) == [True, True]
 
 
-def test_empty_batch_raises_either_backend():
+def test_empty_batch_raises_either_backend(monkeypatch):
     kernel = fresh_kernel(Cnf([(1, 2)], num_vars=2))
     for backend in ("codegen", "interp"):
-        kernel.set_backend(backend)
+        monkeypatch.setenv("REPRO_BACKEND", backend)
         with pytest.raises(ValueError):
             kernel.wmc_batch({})
 
 
 # -- freshness: invalidation and EM updates ----------------------------------
 
-def test_invalidate_drops_compiled_evaluator():
+def test_invalidate_drops_compiled_evaluator(monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
     kernel = fresh_kernel(Cnf([(1, 2), (-1, 3)], num_vars=3))
-    kernel.set_backend("codegen")
     count = kernel.model_count()
     assert kernel._codegen is not None
     kernel.invalidate()
@@ -223,7 +236,7 @@ def test_invalidate_drops_compiled_evaluator():
     assert kernel.model_count() == count
 
 
-def test_psdd_em_updates_never_served_stale():
+def test_psdd_em_updates_never_served_stale(monkeypatch):
     """EM parameter updates on PSDDs must reach every query: the
     parameterised circuit is codegen-unsupported, and the fallback
     re-reads θ per query instead of baking it into a compilate
@@ -236,20 +249,15 @@ def test_psdd_em_updates_never_served_stale():
     f = parse("(P | L) & (A -> P) & (K -> (A | L))", vm)
     root, _ = compile_cnf_sdd(to_cnf(f))
     psdd = psdd_from_sdd(root)
-    ir, _params = psdd_to_ir(psdd)
-    kernel = ir_kernel(ir)
-    kernel.set_backend("codegen")
-    try:
-        before = marginal(psdd, {1: True})
-        data = [({1: True, 2: True, 3: True, 4: True}, 5),
-                ({1: True, 2: False, 3: True, 4: False}, 3),
-                ({1: False, 2: True, 3: False, 4: False}, 2)]
-        learn_parameters(psdd, data)
-        after = marginal(psdd, {1: True})
-        assert after != pytest.approx(before)
-        assert after == pytest.approx(marginal_legacy(psdd, {1: True}))
-    finally:
-        kernel.set_backend(None)
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    before = marginal(psdd, {1: True})
+    data = [({1: True, 2: True, 3: True, 4: True}, 5),
+            ({1: True, 2: False, 3: True, 4: False}, 3),
+            ({1: False, 2: True, 3: False, 4: False}, 2)]
+    learn_parameters(psdd, data)
+    after = marginal(psdd, {1: True})
+    assert after != pytest.approx(before)
+    assert after == pytest.approx(marginal_legacy(psdd, {1: True}))
 
 
 # -- no bytes become code ----------------------------------------------------
@@ -423,9 +431,9 @@ def test_stale_csr_defers_to_rewritten_text(tmp_path):
 
 # -- resource governance through generated code ------------------------------
 
-def test_generated_code_charges_budget():
+def test_generated_code_charges_budget(monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
     kernel = fresh_kernel(Cnf([(1, 2), (-1, 3), (2, -3)], num_vars=3))
-    kernel.set_backend("codegen")
     weights = {lit: 0.5 for v in (1, 2, 3) for lit in (v, -v)}
     kernel.wmc(weights)  # compile outside the budget
     kernel.budget = Budget(max_nodes=kernel.n - 1)
@@ -437,9 +445,9 @@ def test_generated_code_charges_budget():
         kernel.budget = None
 
 
-def test_codegen_respects_ambient_budget_scope():
+def test_codegen_respects_ambient_budget_scope(monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
     kernel = fresh_kernel(Cnf([(1, 2), (-2, 3)], num_vars=3))
-    kernel.set_backend("codegen")
     kernel.sat()  # compile untimed
     kernel.invalidate()
     with Budget(max_nodes=1).scope():
@@ -449,23 +457,24 @@ def test_codegen_respects_ambient_budget_scope():
 
 # -- cli / subprocess surfaces ------------------------------------------------
 
-def test_cli_backend_flag_and_stats(tmp_path):
+def test_cli_backend_env_and_stats(tmp_path):
     cnf_path = tmp_path / "t.cnf"
     cnf_path.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    env.pop("REPRO_BACKEND", None)
     outputs = {}
     for backend in ("codegen", "interp"):
+        env["REPRO_BACKEND"] = backend
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "query", str(cnf_path),
-             "--query", "count", "--stats", "--backend", backend],
+             "--query", "count", "--stats"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert f"c backend {backend}" in proc.stdout
         outputs[backend] = [line for line in proc.stdout.splitlines()
                             if line.startswith("s ")]
     assert outputs["codegen"] == outputs["interp"] == ["s mc 4"]
+    env.pop("REPRO_BACKEND")
     assert "codegen_compiles" in subprocess.run(
         [sys.executable, "-m", "repro", "query", str(cnf_path),
          "--query", "wmc", "--stats"],

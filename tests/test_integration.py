@@ -15,7 +15,7 @@ from repro.explain import (all_sufficient_reasons, decision_is_biased,
                            reason_prime_implicants)
 from repro.logic import Cnf, VarMap, iter_assignments, parse, to_cnf
 from repro.nnf import (classify, model_count as nnf_count,
-                       sample_model, weighted_model_count)
+                       weighted_model_count)
 from repro.obdd import compile_cnf_obdd, model_count, obdd_to_nnf
 from repro.psdd import (learn_parameters, marginal, mpe as psdd_mpe,
                         psdd_from_sdd, sample_dataset)

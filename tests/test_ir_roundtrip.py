@@ -18,8 +18,7 @@ import random
 import pytest
 
 from repro.compile.dnnf_compiler import DnnfCompiler
-from repro.ir import (CircuitIR, ir_kernel, nnf_to_ir, psdd_to_ir,
-                      sdd_to_ir)
+from repro.ir import CircuitIR, ir_kernel, nnf_to_ir, psdd_to_ir
 from repro.ir.serialize import (ir_from_nnf_text, ir_to_nnf_text,
                                 read_sdd_file, read_vtree_text,
                                 write_sdd_file, write_vtree_text)

@@ -17,10 +17,10 @@ from repro.compile.dnnf_compiler import DnnfCompiler
 from repro.ir import facade
 from repro.ir.core import FLAG_DECOMPOSABLE, FLAG_DETERMINISTIC, FLAG_SMOOTH
 from repro.ir.kernel import ir_kernel
-from repro.ir.lower import ir_to_nnf, nnf_to_ir
+from repro.ir.lower import nnf_to_ir
 from repro.ir.passes import (COUNT_ONLY_PASSES, DEFAULT_PASSES,
                              PASS_NAMES, PassManager, certified_equivalent,
-                             desmooth_ir, forget_vars, optimize_ir,
+                             forget_vars, optimize_ir,
                              parse_passes, pipeline_signature, smooth_ir)
 from repro.ir.store import ArtifactStore
 from repro.logic.cnf import Cnf

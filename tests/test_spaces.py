@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.psdd import marginal, support_size
+from repro.psdd import support_size
 from repro.sat import count_models
 from repro.sdd import enumerate_models, model_count
 from repro.spaces import (MallowsModel, RankingSpace, RouteModel,

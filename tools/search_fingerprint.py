@@ -26,9 +26,23 @@ The corpus: the ``tools/proof_check.py`` inputs (its edge cases plus
   replies to ``count``, ``marginals``, ``wmc`` and ``mpe`` (the input's
   weights) and to one ``weight_batch`` of the weights and their
   phase-swapped twin (floats by ``repr``);
+* ``kernel``: on a fresh ``IrKernel`` over the stored circuit, the
+  kernel surfaces the facade never reaches: ``sat``, ``sat_model``,
+  ``evaluate`` and ``evaluate_batch`` on seeded assignments,
+  ``wmc_log_batch``, ``derivatives_batch`` and
+  ``derivatives_log_batch`` on seeded weight rows, and ``derivatives``
+  and ``marginals`` of its ``smooth_ir`` twin (floats by ``repr``,
+  arrays by their bytes);
+* ``psdd`` (the ``proof_check`` part only): the PSDD of the formula's
+  SDD with seeded θs, queried with ``marginal``, ``marginal_batch``,
+  ``variable_marginals`` and ``mpe`` on seeded evidence;
 * ``store``: the file extensions that store holds after those queries,
   printed as their union over the part rather than digested, so a
   change in what the store keeps reads directly.
+
+The query digests read the answers of whichever evaluator
+``$REPRO_BACKEND`` selects; run both to cover the plan and the
+interpreter.
 
 Usage::
 
@@ -94,7 +108,80 @@ def answers(store, ticket, weights) -> list:
     return replies
 
 
-def record(text: str, weights, work: Path) -> dict:
+def _encode(value) -> bytes:
+    """Canonical bytes of an answer: arrays by dtype, shape and
+    contents, containers item by item, anything else (floats
+    included) by ``repr``."""
+    if hasattr(value, "tobytes"):
+        return f"{value.dtype}{value.shape}".encode() + value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return b"[" + b",".join(_encode(v) for v in value) + b"]"
+    if isinstance(value, dict):
+        return b"{" + b",".join(_encode(k) + b":" + _encode(v)
+                                for k, v in value.items()) + b"}"
+    return repr(value).encode()
+
+
+def kernel_answers(ir, num_vars: int, seed: str) -> str:
+    """SHA-256 of the kernel surfaces on one circuit and its smooth
+    twin, under seeded assignments and weight rows."""
+    import numpy as np
+    from repro.ir.kernel import IrKernel
+    from repro.ir.passes import smooth_ir
+    rng = random.Random(seed)
+    variables = range(1, num_vars + 1)
+    rows = 3
+    assignment = {v: rng.random() < 0.5 for v in variables}
+    assignment_rows = {v: np.array([rng.random() < 0.5
+                                    for _ in range(rows)])
+                       for v in variables}
+    weight_rows = {lit: np.array([rng.uniform(0.05, 1.0)
+                                  for _ in range(rows)])
+                   for v in variables for lit in (v, -v)}
+    log_rows = {lit: np.log(row) for lit, row in weight_rows.items()}
+    kernel = IrKernel(ir)
+    twin = IrKernel(smooth_ir(ir))
+    return hashlib.sha256(_encode([
+        kernel.sat(), kernel.sat_model(), kernel.evaluate(assignment),
+        kernel.evaluate_batch(assignment_rows),
+        kernel.wmc_log_batch(log_rows),
+        kernel.derivatives_batch(weight_rows),
+        kernel.derivatives_log_batch(log_rows),
+        twin.derivatives(), twin.marginals()])).hexdigest()
+
+
+def psdd_answers(text: str, seed: str) -> str:
+    """SHA-256 of the PSDD queries on the formula's SDD with seeded
+    θs and evidence (an unsatisfiable formula has no PSDD: its error
+    is digested instead)."""
+    from repro.logic.cnf import Cnf
+    from repro.psdd import psdd_from_sdd
+    from repro.psdd.queries import (marginal, marginal_batch, mpe,
+                                    variable_marginals)
+    from repro.sdd.compiler import compile_cnf_sdd
+    root, _ = compile_cnf_sdd(Cnf.from_dimacs(text))
+    try:
+        psdd = psdd_from_sdd(root)
+    except ValueError as error:
+        return hashlib.sha256(str(error).encode()).hexdigest()
+    rng = random.Random(seed)
+    for node in psdd.descendants():
+        if node.is_bernoulli:
+            node.theta = rng.uniform(0.05, 0.95)
+        elif node.is_decision:
+            shares = [rng.uniform(0.1, 1.0) for _ in node.elements]
+            total = sum(shares)
+            for element, share in zip(node.elements, shares):
+                element[2] = share / total
+    variables = sorted(psdd.variables())
+    evidence = [{v: rng.random() < 0.5 for v in variables
+                 if rng.random() < 0.5} for _ in range(3)]
+    return hashlib.sha256(_encode([
+        marginal(psdd, evidence[0]), marginal_batch(psdd, evidence),
+        variable_marginals(psdd), mpe(psdd, evidence[1])])).hexdigest()
+
+
+def record(text: str, weights, work: Path, psdd: bool) -> dict:
     from repro.compile.dnnf_compiler import DnnfCompiler
     from repro.ir import facade
     from repro.ir.store import ArtifactStore
@@ -114,6 +201,8 @@ def record(text: str, weights, work: Path) -> dict:
             out["queries"] = answers(store, ticket, weights)
             out["store"] = sorted({path.name.partition(".")[2]
                                    for path in store.root.glob("*/*")})
+            out["kernel"] = kernel_answers(store.load_nnf(ticket.key),
+                                           ticket.num_vars, ticket.key)
         compiler = DnnfCompiler(store=None, proof=proof)
         compiler.compile(Cnf.from_dimacs(ticket.dimacs))
         out[f"{mode}.counters"] = [compiler.stats[name]
@@ -124,6 +213,8 @@ def record(text: str, weights, work: Path) -> dict:
     out["counts"] = [str(ModelCounter().count(cnf)),
                      str(bounds.lower), str(bounds.upper)]
     out["wmc"] = [repr(weighted.lower), repr(weighted.upper)]
+    if psdd:
+        out["psdd"] = psdd_answers(text, ticket.key)
     return out
 
 
@@ -145,7 +236,8 @@ def main(argv=None) -> int:
     dump = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, part in corpus(args.cold, seeds):
-            records = [record(text, weights, Path(tmp))
+            with_psdd = name == "proof_check"
+            records = [record(text, weights, Path(tmp), with_psdd)
                        for text, weights in part]
             dump[name] = records
             decisions = sum(r["plain.counters"][0] for r in records)
@@ -158,7 +250,10 @@ def main(argv=None) -> int:
                   f" counts {digest(records, ['counts'])}"
                   f" wmc {digest(records, ['wmc'])}"
                   f" queries {digest(records, ['queries'])}"
-                  f" store {','.join(kinds)}", flush=True)
+                  f" kernel {digest(records, ['kernel'])}"
+                  + (f" psdd {digest(records, ['psdd'])}" if with_psdd
+                     else "")
+                  + f" store {','.join(kinds)}", flush=True)
     if args.dump:
         Path(args.dump).write_text(json.dumps(dump))
     return 0
