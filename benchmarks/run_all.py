@@ -633,11 +633,14 @@ def scenario_warm_mmap(quick: bool):
     """Warm artifact loads through the memory-mapped binary CSR
     sidecar vs the same loads forced onto the ``.nnf`` text parser
     (sidecar removed).  Both sides pay the identical ``.cert``
-    digest check; the difference is decode cost."""
+    digest check; the difference is decode cost.  Each mmap load
+    runs on its own store handle, so every rep decodes (a reused
+    handle would serve its decode memo)."""
     import shutil
     import tempfile
     from repro.ir import nnf_to_ir
     from repro.ir.store import ArtifactStore
+    from repro.perf.instrument import Counter
     n, m, seed = (40, 95, 11) if quick else (45, 110, 9)
     reps = 20 if quick else 50
     cnf = random_3cnf(n, m, seed)
@@ -647,11 +650,14 @@ def scenario_warm_mmap(quick: bool):
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-mmap-")
     try:
         ArtifactStore(cache_dir).save_nnf(key, ir)
-        mmap_store = ArtifactStore(cache_dir)
+        mmap_stores = [ArtifactStore(cache_dir) for _ in range(reps)]
         start = time.perf_counter()
-        for _ in range(reps):
+        for mmap_store in mmap_stores:
             via_mmap = mmap_store.load_nnf(key)
         mid = time.perf_counter()
+        mmap_stats = Counter()
+        for mmap_store in mmap_stores:
+            mmap_stats.merge(mmap_store.stats)
         # force the text path: quarantine-free sidecar removal
         os.unlink(mmap_store.path_for(key, "csr"))
         text_store = ArtifactStore(cache_dir)
@@ -660,7 +666,7 @@ def scenario_warm_mmap(quick: bool):
         end = time.perf_counter()
         agree = (via_mmap is not None and via_text is not None
                  and via_mmap.digest() == ir.digest()
-                 and mmap_store.stats["artifact_mmap_hits"] == reps)
+                 and mmap_stats["artifact_mmap_hits"] == reps)
         return {
             "instance": {"n": n, "m": m, "seed": seed, "reps": reps,
                          "circuit_nodes": ir.n},
@@ -668,7 +674,7 @@ def scenario_warm_mmap(quick: bool):
             "legacy_s": round(end - mid, 4),
             "speedup": round((end - mid) / (mid - start), 3),
             "agree": agree,
-            "counters": {"optimized": mmap_store.stats.as_dict(),
+            "counters": {"optimized": mmap_stats.as_dict(),
                          "legacy": text_store.stats.as_dict()},
         }
     finally:
@@ -685,9 +691,10 @@ def scenario_serve_throughput(quick: bool):
     store dedup rate, and the workers' warm-cache hit rate.  The
     legacy side performs the same logical work sequentially through
     the facade in this process — what a client doing its own
-    compilation would pay.  ``direct_warm_query_ms`` prices one
-    single-process warm query (store load + kernel query) for the
-    served-latency comparison in the acceptance gate.
+    compilation would pay.  ``direct_decoding_query_ms`` prices one
+    single-process warm query that decodes its circuit (a fresh store
+    handle: ``.csr`` decode + kernel query) for the served-latency
+    comparison in the acceptance gate.
     """
     import tempfile
     import shutil
@@ -721,8 +728,12 @@ def scenario_serve_throughput(quick: bool):
 
         # the same logical work, sequentially, no server: every
         # duplicate pays at least a ticket + store hit, every query a
-        # fresh warm load — the "no service" client-side cost
+        # fresh warm load — the "no service" client-side cost.  Each
+        # query gets its own store handle, so it decodes the sidecar
+        # instead of hitting a reused handle's decode memo: the
+        # reference the served-latency bound was set against.
         direct_store = ArtifactStore(cache_dir)
+        query_stores = [ArtifactStore(cache_dir) for _ in range(queries)]
         tickets = [facade.compile_ticket(
             random_3cnf_text(n, m, seed + i)) for i in range(distinct)]
         start = time.perf_counter()
@@ -731,14 +742,14 @@ def scenario_serve_throughput(quick: bool):
             for _ in range(duplicates):
                 facade.compile_to_store(ticket, direct_store)
         q0 = time.perf_counter()
-        for q in range(queries):
+        for q, query_store in enumerate(query_stores):
             ticket = tickets[q % distinct]
             reply = facade.query_artifact(
-                direct_store, ticket.key, "count",
+                query_store, ticket.key, "count",
                 num_vars=ticket.num_vars)
             counts[ticket.key] = reply["result"]
         legacy_elapsed = time.perf_counter() - start
-        direct_warm_query_ms = (time.perf_counter() - q0) / max(
+        direct_decoding_query_ms = (time.perf_counter() - q0) / max(
             1, queries) * 1000.0
 
         # agreement: the served counts match direct evaluation
@@ -767,7 +778,8 @@ def scenario_serve_throughput(quick: bool):
             "rps": load["rps"],
             "dedup_hit_rate": load["dedup_hit_rate"],
             "warm_hit_rate": load["warm_hit_rate"],
-            "direct_warm_query_ms": round(direct_warm_query_ms, 3),
+            "direct_decoding_query_ms": round(direct_decoding_query_ms,
+                                              3),
             "counters": {
                 "statuses": load["statuses"],
                 "server": load.get("server_stats", {}).get(

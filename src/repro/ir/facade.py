@@ -41,7 +41,7 @@ from ..limits.anytime import anytime_count
 from ..limits.budget import Budget, BudgetExceeded
 from ..logic.cnf import Cnf
 from .core import CircuitIR
-from .kernel import IrKernel, ir_kernel, pack_weight_batch
+from .kernel import IrKernel, ir_kernel
 from .store import ArtifactStore, artifact_key
 
 __all__ = ["CompileTicket", "CompileOutcome", "BoundsOutcome",
@@ -419,20 +419,29 @@ def _widen_vars(kernel: IrKernel,
     return [v for v in range(1, num_vars + 1) if v not in present]
 
 
+def _top(kernel: IrKernel, num_vars: Optional[int]) -> int:
+    """The largest variable a weight map may name."""
+    return num_vars if num_vars is not None else \
+        (max(_mentioned(kernel) or [0]))
+
+
+def _check_literal(lit: Any, top: int) -> None:
+    if lit == 0 or abs(lit) > top:
+        raise ValueError(
+            f"weight literal {lit} outside 1..{top} "
+            f"(or its negation)")
+
+
 def _full_weights(kernel: IrKernel, num_vars: Optional[int],
                   wire: Optional[Mapping[int, float]]
                   ) -> Dict[int, float]:
     """Every literal's weight (default 1.0), wire entries overlaid."""
-    top = num_vars if num_vars is not None else \
-        (max(_mentioned(kernel) or [0]))
+    top = _top(kernel, num_vars)
     weights: Dict[int, float] = {}
     for var in range(1, top + 1):
         weights[var] = weights[-var] = 1.0
     for lit, value in dict(wire or {}).items():
-        if lit == 0 or abs(lit) > top:
-            raise ValueError(
-                f"weight literal {lit} outside 1..{top} "
-                f"(or its negation)")
+        _check_literal(lit, top)
         weights[int(lit)] = float(value)
     return weights
 
@@ -520,13 +529,26 @@ def _run_query(kernel: IrKernel, query: str, num_vars: Optional[int],
 def _wmc_batch(kernel: IrKernel, num_vars: Optional[int],
                weight_batch: Sequence[Mapping[int, float]],
                extra: List[int]) -> List[float]:
-    maps = [_full_weights(kernel, num_vars, w) for w in weight_batch]
-    if not maps:
+    """The batch as one ``(2·top+1, rows)`` table, literal ``lit`` on
+    row ``top + lit``: every cell starts at 1.0, each batch row's wire
+    entries are written into its column by index, and the kernel
+    reads views of the table's rows."""
+    import numpy
+    if not weight_batch:
         return []
-    top = num_vars if num_vars is not None else \
-        (max(_mentioned(kernel) or [0]))
-    packed: Dict[int, Any] = dict(
-        pack_weight_batch(maps, list(range(1, top + 1))))
+    top = _top(kernel, num_vars)
+    table = numpy.ones((2 * top + 1, len(weight_batch)))
+    for column, wire in enumerate(weight_batch):
+        wire = dict(wire or {})
+        if wire and (0 in wire or min(wire) < -top or max(wire) > top):
+            for lit in wire:  # the first bad literal names the error
+                _check_literal(lit, top)
+        # intp truncates like int(); float64 converts like float()
+        lits = numpy.fromiter(wire, dtype=numpy.intp, count=len(wire))
+        table[top + lits, column] = numpy.fromiter(
+            wire.values(), dtype=float, count=len(wire))
+    packed = {lit: table[top + lit]
+              for var in range(1, top + 1) for lit in (var, -var)}
     values = kernel.wmc_batch(packed)
     for var in extra:
         values = values * (packed[var] + packed[-var])

@@ -76,8 +76,7 @@ def nnf_to_ir(root: Any, flags: Optional[int] = None,
 
     Gates are lowered raw (no constant simplification), so node ``i``
     of the IR corresponds exactly to node ``i`` of
-    ``root.topological()`` — the alignment the
-    :class:`~repro.nnf.kernel.CircuitKernel` adapter relies on.
+    ``root.topological()``.
     ``flags`` defaults to the structurally checkable properties;
     callers that know more (compiler output is deterministic by
     construction) pass the full set.

@@ -29,6 +29,7 @@ import json
 import mmap
 import os
 import tempfile
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Mapping, Optional, Tuple
 
@@ -42,6 +43,10 @@ __all__ = ["ArtifactStore", "artifact_key", "default_store"]
 
 #: environment variable naming the default artifact-store directory
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: ``.csr`` decodes each store handle remembers (least recently used
+#: out first)
+DECODE_MEMO_SIZE = 128
 
 
 def artifact_key(dimacs: str, compiler: str,
@@ -78,6 +83,10 @@ class ArtifactStore:
     the artifact's content hash, so re-certification happens once —
     warm loads are back to file-read + parse cost
     (``artifact_cert_hits``).
+
+    Each handle also remembers its last :data:`DECODE_MEMO_SIZE`
+    ``.csr`` decodes, each bound to the hash of the ``.nnf`` text it
+    was decoded from (see :meth:`_load_csr`).
     """
 
     def __init__(self, root: "str | Path", verify: bool = True) -> None:
@@ -85,6 +94,10 @@ class ArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = Counter()
         self.verify = verify
+        #: key -> (SHA-256 of the decoded-from ``.nnf`` bytes, the
+        #: interned IR the ``.csr`` decode produced)
+        self._decoded: "OrderedDict[str, Tuple[str, CircuitIR]]" = \
+            OrderedDict()
 
     def path_for(self, key: str, ext: str) -> Path:
         return self.root / key[:2] / f"{key}.{ext}"
@@ -185,13 +198,15 @@ class ArtifactStore:
         self._atomic_replace(self.path_for(key, "cert"),
                              json.dumps(cert, sort_keys=True) + "\n")
 
-    def _certify_load(self, key: str, ir: CircuitIR, claimed: int,
-                      digest: str, vtree: Any = None,
-                      *paths: Path) -> bool:
+    def _certify_load(self, key: str, ir: CircuitIR,
+                      flags: Optional[int], digest: str,
+                      vtree: Any = None, *paths: Path) -> bool:
         """Serve-time certification: trust a digest-matching ``.cert``
-        covering the claimed flags, otherwise re-verify; falsified
-        claims quarantine the artifact (and certificate).  Returns
-        True when the artifact may be served."""
+        covering the claimed flags (``flags``, else the circuit's
+        own), otherwise re-verify; falsified claims quarantine the
+        artifact (and certificate).  Returns True when the artifact
+        may be served."""
+        claimed = ir.flags if flags is None else flags
         cert = self._read_cert(key)
         if cert is not None and cert.get("digest") == digest and \
                 (claimed & int(cert.get("flags", 0))) == claimed:
@@ -298,6 +313,15 @@ class ArtifactStore:
         return hits / total if total else 0.0
 
     # -- d-DNNF artifacts (.nnf + .csr) -------------------------------------
+    def _text_hash(self, key: str) -> Optional[str]:
+        """SHA-256 of ``key``'s current ``.nnf`` bytes, or None when
+        the text is gone."""
+        try:
+            raw = self.path_for(key, "nnf").read_bytes()
+        except OSError:
+            return None
+        return hashlib.sha256(raw).hexdigest()
+
     def _load_csr(self, key: str,
                   flags: Optional[int]) -> Optional[CircuitIR]:
         """The memory-mapped warm path: decode the binary ``.csr``
@@ -312,8 +336,34 @@ class ArtifactStore:
         was rewritten or mutated underneath the sidecar) silently
         defers to the text path, whose parse + serve-time
         certification sees the *current* bytes.
+
+        A successful decode is remembered with that hash.  While the
+        current ``.nnf`` bytes still hash to it, the next load of the
+        key on this handle skips the mmap, the decode and
+        ``intern()`` and serves the remembered IR after the same
+        certification (``artifact_memo_hits``, counted as an
+        ``artifact_mmap_hits`` too: it is this tier's answer).  A
+        sidecar corrupted after that goes unnoticed by this handle —
+        the answer is still the hashed text's — and a fresh handle
+        quarantines it.  ``save_nnf``, a hash mismatch (a quarantine
+        moving the ``.nnf`` aside is one) and a failed certification,
+        which quarantines the sidecar, drop the entry.
         """
         path = self.path_for(key, "csr")
+        # popped, and set again as the most recently used on a hit;
+        # never ``del``/``move_to_end``, which raise when a thread
+        # sharing the handle has dropped the entry meanwhile
+        memo = self._decoded.pop(key, None)
+        if memo is not None:
+            text_hash, ir = memo
+            if self._text_hash(key) == text_hash:
+                if self.verify and not self._certify_load(
+                        key, ir, flags, text_hash, None, path):
+                    return None
+                self._decoded[key] = memo
+                self.stats.incr("artifact_memo_hits")
+                self.stats.incr("artifact_mmap_hits")
+                return ir
         try:
             with open(path, "rb") as handle:
                 mapped = mmap.mmap(handle.fileno(), 0,
@@ -328,19 +378,19 @@ class ArtifactStore:
             self._move_aside(path)
             self.stats.incr("artifact_corrupt")
             return None
-        try:
-            raw = self.path_for(key, "nnf").read_bytes()
-        except OSError:
-            return None  # orphan sidecar: the text path rules it a miss
-        if hashlib.sha256(raw).hexdigest() != text_hash:
-            return None  # stale sidecar: text changed underneath it
-        if self.verify:
-            claimed = ir.flags if flags is None else flags
-            if not self._certify_load(key, ir, claimed, text_hash,
-                                      None, path):
-                return None
+        if self._text_hash(key) != text_hash:
+            # an orphan sidecar (the text path rules it a miss) or a
+            # stale one (the text changed underneath it)
+            return None
+        if self.verify and not self._certify_load(
+                key, ir, flags, text_hash, None, path):
+            return None
         self.stats.incr("artifact_mmap_hits")
-        return ir.intern()
+        ir = ir.intern()
+        self._decoded[key] = (text_hash, ir)
+        while len(self._decoded) > DECODE_MEMO_SIZE:
+            self._decoded.popitem(last=False)
+        return ir
 
     def load_nnf(self, key: str,
                  flags: Optional[int] = None) -> Optional[CircuitIR]:
@@ -348,8 +398,10 @@ class ArtifactStore:
 
         Warm loads prefer the binary ``.csr`` sidecar — a memory-mapped
         decode of the CSR arrays that skips text parsing entirely
-        (``artifact_mmap_hits``) — and fall back to reading and parsing
-        the ``.nnf`` text when the sidecar is missing or quarantined.
+        (``artifact_mmap_hits``), or this handle's memo of that decode
+        while the ``.nnf`` bytes are unchanged — and fall back to
+        reading and parsing the ``.nnf`` text when the sidecar is
+        missing or quarantined.
 
         ``flags`` is forwarded to :func:`ir_from_nnf_text`: a caller
         that knows the stored circuit's properties (a compiler loading
@@ -371,16 +423,14 @@ class ArtifactStore:
         except Exception:
             self._quarantine(path)
             return None
-        if self.verify:
-            claimed = ir.flags if flags is None else flags
-            if not self._certify_load(key, ir, claimed,
-                                      self._content_hash(text), None,
-                                      path):
-                return None
+        if self.verify and not self._certify_load(
+                key, ir, flags, self._content_hash(text), None, path):
+            return None
         self.stats.incr("artifact_hits")
         return ir
 
     def save_nnf(self, key: str, ir: CircuitIR) -> Path:
+        self._decoded.pop(key, None)
         text = ir_to_nnf_text(ir)
         path = self._write(self.path_for(key, "nnf"), text)
         # the binary CSR twin serves memory-mapped warm loads; its

@@ -5,66 +5,35 @@ The dense-array evaluation engine that used to live here moved to
 PSDD, arithmetic circuits) dispatches through the same passes.  This
 module keeps the NNF-specific surface:
 
-* :class:`CircuitKernel` — an :class:`~repro.ir.kernel.IrKernel` built
-  by lowering an :class:`~repro.nnf.node.NnfNode` root 1:1 onto the
-  IR (``self.nodes[i]`` is the NNF node behind dense index ``i``);
 * :func:`get_kernel` — the per-manager kernel cache the query layer
-  uses;
+  uses, over the one :class:`~repro.ir.kernel.IrKernel` of the root's
+  interned IR;
 * re-exports of the kind codes and batch packers, so existing
   importers (``repro.wmc.arithmetic_circuit``, tests) keep working.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from ..ir.core import (KIND_AND, KIND_FALSE, KIND_LIT, KIND_OR,
                        KIND_TRUE)
-from ..ir.kernel import (IrKernel, pack_assignment_batch,
+from ..ir.kernel import (IrKernel, ir_kernel, pack_assignment_batch,
                          pack_weight_batch)
 from ..ir.lower import nnf_to_ir
 from .node import NnfNode
 
-__all__ = ["CircuitKernel", "get_kernel", "pack_weight_batch",
-           "pack_assignment_batch", "KIND_LIT", "KIND_TRUE",
-           "KIND_FALSE", "KIND_AND", "KIND_OR"]
+__all__ = ["get_kernel", "pack_weight_batch", "pack_assignment_batch",
+           "KIND_LIT", "KIND_TRUE", "KIND_FALSE", "KIND_AND", "KIND_OR"]
 
 
-class CircuitKernel(IrKernel):
-    """The IR kernel of one NNF circuit, with the node-object view.
+def get_kernel(root: NnfNode) -> IrKernel:
+    """The (cached) kernel for ``root``: ``ir_kernel(nnf_to_ir(root))``.
 
-    Lowering is structurally 1:1 (raw gates, topological order, root
-    last), so ``self.nodes``, ``self.kinds`` and ``self.children`` are
-    index-aligned exactly as the seed's per-family kernel built them.
-    Structurally identical circuits intern to one IR, and the first
-    kernel built for an IR is cached on it — so kernels (and their
-    memoised pure results) are shared across managers.
-    """
-
-    __slots__ = ("root", "nodes")
-
-    def __init__(self, root: NnfNode):
-        ir = nnf_to_ir(root)
-        super().__init__(ir)
-        if ir._kernel is None:
-            ir._kernel = self
-        self.root = root
-        order = root.topological()
-        if len(order) != self.n:
-            raise AssertionError("NNF lowering must be 1:1")
-        self.nodes: List[NnfNode] = order
-        # cache variable sets into the nodes so legacy code benefits
-        for i, node in enumerate(order):
-            if node._vars is None:
-                node._vars = self.varsets[i]
-
-
-def get_kernel(root: NnfNode) -> CircuitKernel:
-    """The (cached) kernel for ``root``.
-
-    Kernels are memoised on the root's manager keyed by node id; nodes
-    are immutable and hash-consed, so a cached kernel never goes stale
-    even as the manager keeps growing.
+    Memoised on the root's manager keyed by node id, so a repeated
+    query skips the lowering; nodes are immutable and hash-consed, so
+    a cached kernel never goes stale even as the manager keeps
+    growing.  Structurally identical circuits intern to one IR, so
+    every route to it (other managers, the facade, the query gate)
+    shares one kernel and its memoised results.
     """
     manager = root.manager
     cache = getattr(manager, "_kernel_cache", None)
@@ -72,5 +41,5 @@ def get_kernel(root: NnfNode) -> CircuitKernel:
         cache = manager._kernel_cache = {}
     kernel = cache.get(root.id)
     if kernel is None:
-        kernel = cache[root.id] = CircuitKernel(root)
+        kernel = cache[root.id] = ir_kernel(nnf_to_ir(root))
     return kernel

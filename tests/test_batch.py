@@ -2,16 +2,19 @@
 
 Every batched numpy path introduced by the vectorized-evaluation PR
 must agree with its scalar oracle: kernel WMC / evaluation /
-derivatives (linear and log space), arithmetic-circuit queries,
-pipeline marginals, PSDD marginals, classifier dataset scoring, and
-OBDD counterfactual probes.  The scalar implementations are kept
-precisely to serve as these oracles, so the comparisons below run over
-hundreds of randomly generated circuits, weight vectors, and evidence
-sets — including batch size 1 and zero-probability weights.
+derivatives (linear and log space), the facade's weight batches,
+arithmetic-circuit queries, pipeline marginals, PSDD marginals,
+classifier dataset scoring, and OBDD counterfactual probes.  The
+scalar implementations are kept precisely to serve as these oracles,
+so the comparisons below run over hundreds of randomly generated
+circuits, weight vectors, and evidence sets — including batch size 1
+and zero-probability weights.
 """
 
+import copy
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -24,6 +27,7 @@ from repro.classifiers import (BinarizedNeuralNetwork, BnClassifier,
                                compile_bnn)
 from repro.compile.dnnf_compiler import DnnfCompiler
 from repro.explain import decision_sticks, decision_sticks_batch
+from repro.ir import facade, ir_kernel, nnf_to_ir
 from repro.logic.cnf import Cnf
 from repro.nnf import queries
 from repro.nnf.kernel import pack_weight_batch
@@ -141,6 +145,72 @@ class TestKernelBatches:
         kernel = queries.get_kernel(root)
         with pytest.raises(ValueError):
             kernel.wmc_batch({})
+
+
+class TestFacadeBatches:
+    """``facade.query_ir`` writes a weight batch into one table, a
+    column per row, and hands the kernel views of its literal rows;
+    each row answers what the scalar query answers on it."""
+
+    #: two more variables than the circuits below may mention, so the
+    #: batch is widened over variables absent from the circuit
+    NUM_VARS = 10
+
+    @staticmethod
+    def circuit(seed=70):
+        (root, rng), = compiled_circuits(1, first_seed=seed)
+        return nnf_to_ir(root), rng
+
+    @pytest.mark.parametrize("backend", ["codegen", "interp"])
+    def test_rows_match_scalar_wmc(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        for seed in range(70, 75):
+            ir, rng = self.circuit(seed)
+            rows = [random_weights(range(1, self.NUM_VARS + 1), rng,
+                                   zero_fraction=0.1 * (j % 3))
+                    for j in range(6)]
+            rows += [{1: 0.3, -4: 0.7, 9: 2.5}, {}]
+            reply = facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
+                                    weight_batch=rows)
+            assert reply["batch"] == len(rows)
+            for row, got in zip(rows, reply["result"]):
+                want = facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
+                                       weights=row)["result"]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_missing_literals_weigh_one(self):
+        ir, _ = self.circuit()
+        ones = {lit: 1.0 for v in range(1, self.NUM_VARS + 1)
+                for lit in (v, -v)}
+        count = facade.query_ir(ir, "count",
+                                num_vars=self.NUM_VARS)["result"]
+        reply = facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
+                                weight_batch=[{}, ones, {3: 1.0}])
+        assert reply["result"] == [float(count)] * 3
+        empty = facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
+                                weight_batch=[])
+        assert empty["result"] == [] and empty["batch"] == 0
+
+    @pytest.mark.parametrize("num_vars", [NUM_VARS, None])
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_bad_literal_in_row_three(self, num_vars, beyond):
+        ir, _ = self.circuit()
+        top = num_vars or max(ir_kernel(ir).varsets[ir.n - 1])
+        lit = -(top + 1) if beyond else 0
+        rows = [{1: 0.5, -1: 0.5}] * 3 + [{2: 0.25, lit: 0.5}]
+        message = f"weight literal {lit} outside 1..{top} (or its negation)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            facade.query_ir(ir, "wmc", num_vars=num_vars,
+                            weight_batch=rows)
+
+    def test_caller_maps_are_not_mutated(self):
+        ir, rng = self.circuit()
+        rows = [random_weights(range(1, 9), rng) for _ in range(3)]
+        rows.append({2: 0.5})
+        snapshot = copy.deepcopy(rows)
+        facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
+                        weight_batch=rows)
+        assert rows == snapshot
 
 
 class TestArithmeticCircuitBatches:
@@ -394,7 +464,7 @@ def test_kernel_imports_without_numpy_side_effects():
         "import repro",
         "import repro.nnf.kernel as kernel",
         "import repro.nnf.queries",
-        "assert hasattr(kernel.CircuitKernel, 'wmc_batch')",
+        "assert hasattr(kernel.IrKernel, 'wmc_batch')",
         "from repro.logic.cnf import Cnf",
         "from repro.compile.dnnf_compiler import DnnfCompiler",
         "root = DnnfCompiler().compile(Cnf([(1, 2), (-1, 2)],"

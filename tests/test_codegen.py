@@ -2,11 +2,13 @@
 evaluators agree with the interpreted kernel on every query, fall back
 where unsupported, stay fresh across invalidation and EM updates, read
 and write no files, and round-trip circuits through the artifact
-store's binary CSR sidecars."""
+store's binary CSR sidecars, whose decodes each store handle
+remembers."""
 
 import importlib.util
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -15,9 +17,10 @@ import pytest
 from repro.compile.dnnf_compiler import DnnfCompiler
 from repro.ir import CodegenUnsupported, facade, ir_kernel, nnf_to_ir
 from repro.ir.codegen import resolve_backend
-from repro.ir.core import IrBuilder
+from repro.ir import store as store_module
+from repro.ir.core import FLAG_DECOMPOSABLE, FLAG_DETERMINISTIC, IrBuilder
 from repro.ir.serialize import ir_from_csr_buffer, ir_to_csr_bytes
-from repro.ir.store import ArtifactStore
+from repro.ir.store import DECODE_MEMO_SIZE, ArtifactStore
 from repro.limits import Budget, BudgetExceeded
 from repro.limits.faults import corrupt_artifact
 from repro.logic.cnf import Cnf
@@ -427,6 +430,197 @@ def test_stale_csr_defers_to_rewritten_text(tmp_path):
     assert served is not None
     assert served.digest() == ir_b.digest()
     assert warm.stats["artifact_mmap_hits"] == 0
+
+
+# -- the per-handle decode memo ----------------------------------------------
+
+#: the properties the memo tests claim on every load
+CLAIMED = FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC
+
+
+def or_of_ands():
+    """(x1 ∧ x2) ∨ (¬x1 ∧ x3): 4 models over its 3 variables; its
+    ``.nnf`` text holds the line ``L -1``."""
+    b = IrBuilder()
+    a1 = b.raw_and((b.literal(1), b.literal(2)))
+    a2 = b.raw_and((b.literal(-1), b.literal(3)))
+    return b.finish(b.raw_or((a1, a2)), flags=CLAIMED)
+
+
+class TestDecodeMemo:
+    """A store handle remembers its ``.csr`` decodes, each bound to
+    the hash of the ``.nnf`` text it was decoded from: a reload skips
+    the decode, and every check a warm load makes still runs."""
+
+    @staticmethod
+    def warm(tmp_path, key="k"):
+        """A fresh handle that has loaded a saved artifact once."""
+        ArtifactStore(tmp_path / "cache").save_nnf(key, or_of_ands())
+        store = ArtifactStore(tmp_path / "cache")
+        first = store.load_nnf(key, flags=CLAIMED)
+        assert first is not None
+        assert store.stats["artifact_mmap_hits"] == 1
+        return store, first
+
+    def test_second_load_is_a_memo_hit(self, tmp_path, monkeypatch):
+        store, first = self.warm(tmp_path)
+        decodes = []
+
+        def decode(buffer):
+            decodes.append(len(buffer))
+            return ir_from_csr_buffer(buffer)
+        monkeypatch.setattr(store_module, "ir_from_csr_buffer", decode)
+        assert store.load_nnf("k", flags=CLAIMED) is first
+        assert decodes == []
+        assert store.stats["artifact_memo_hits"] == 1
+        assert store.stats["artifact_hits"] == 2
+        assert store.stats["artifact_mmap_hits"] == 2
+        assert store.stats["artifact_cert_hits"] == 2
+        # a fresh handle decodes
+        fresh = ArtifactStore(tmp_path / "cache")
+        assert fresh.load_nnf("k", flags=CLAIMED) is first
+        assert len(decodes) == 1
+        assert fresh.stats["artifact_memo_hits"] == 0
+
+    def test_one_byte_rewrite_is_certified_afresh(self, tmp_path):
+        store, _ = self.warm(tmp_path)
+        path = store.path_for("k", "nnf")
+        # "L -1" -> "L  1" in place: the or-arms now overlap
+        path.write_bytes(path.read_bytes().replace(b"L -1", b"L  1"))
+        assert store.load_nnf("k", flags=CLAIMED) is None
+        assert store.stats["artifact_memo_hits"] == 0
+        assert store.stats["artifact_cert_fail"] == 1
+        assert path.with_suffix(".nnf.corrupt").exists()
+
+    def test_rewrite_that_keeps_the_claims_serves_the_new_text(
+            self, tmp_path):
+        store, first = self.warm(tmp_path)
+        path = store.path_for("k", "nnf")
+        # "L 2" -> "L 3": (x1 ∧ x3) ∨ (¬x1 ∧ x3), still deterministic
+        path.write_bytes(path.read_bytes().replace(b"L 2", b"L 3"))
+        served = store.load_nnf("k", flags=CLAIMED)
+        assert served is not None and served.digest() != first.digest()
+        assert ir_kernel(served).model_count() == 2
+        assert store.stats["artifact_memo_hits"] == 0
+        assert store.stats["artifact_verified"] == 1
+
+    def test_deleted_cert_is_reverified_on_a_memo_hit(self, tmp_path):
+        store, first = self.warm(tmp_path)
+        store.path_for("k", "cert").unlink()
+        assert store.load_nnf("k", flags=CLAIMED) is first
+        assert store.stats["artifact_memo_hits"] == 1
+        assert store.stats["artifact_verified"] == 1
+        assert store.path_for("k", "cert").exists()
+
+    def test_quarantine_refuted_is_a_miss(self, tmp_path):
+        store, _ = self.warm(tmp_path)
+        store.quarantine_refuted("k")
+        assert store.load_nnf("k", flags=CLAIMED) is None
+        assert store.stats["artifact_misses"] == 1
+        # the same text restored without its sidecar or certificate is
+        # served only once certification has judged it afresh
+        nnf = store.path_for("k", "nnf")
+        os.replace(nnf.with_suffix(".nnf.corrupt"), nnf)
+        served = store.load_nnf("k", flags=CLAIMED)
+        assert ir_kernel(served).model_count() == 4
+        assert store.stats["artifact_verified"] == 1
+
+    def test_falsified_claim_on_a_memo_hit_drops_the_entry(self, tmp_path):
+        """A remembered decode whose claim fails re-verification goes
+        with its quarantined sidecar: later loads serve the text
+        path's certificate instead of re-verifying the claim."""
+        b = IrBuilder()
+        # (x1 ∧ x2) ∨ (x1 ∧ x3) claimed deterministic: the arms overlap
+        a1 = b.raw_and((b.literal(1), b.literal(2)))
+        a2 = b.raw_and((b.literal(1), b.literal(3)))
+        ArtifactStore(tmp_path / "cache").save_nnf(
+            "k", b.finish(b.raw_or((a1, a2)), flags=CLAIMED))
+        store = ArtifactStore(tmp_path / "cache")
+        # the writer's certificate covers the claim by construction
+        assert store.load_nnf("k") is not None
+        store.path_for("k", "cert").unlink()
+        for _ in range(3):
+            served = store.load_nnf("k")
+            assert served is not None
+            assert not served.flags & FLAG_DETERMINISTIC
+        assert store.stats["artifact_cert_fail"] == 1
+        assert store.stats["artifact_verified"] == 1
+        assert store.stats["artifact_cert_hits"] == 3
+        assert store.stats["artifact_memo_hits"] == 0
+
+    def test_sidecar_corrupted_behind_a_filled_memo(self, tmp_path):
+        store, _ = self.warm(tmp_path)
+        corrupt_artifact(store, "k", "csr", "garbage")
+        served = store.load_nnf("k", flags=CLAIMED)
+        assert ir_kernel(served).model_count() == 4
+        assert store.stats["artifact_memo_hits"] == 1
+        assert store.stats["artifact_corrupt"] == 0
+        # a fresh handle decodes, quarantines the sidecar, parses text
+        fresh = ArtifactStore(tmp_path / "cache")
+        again = fresh.load_nnf("k", flags=CLAIMED)
+        assert ir_kernel(again).model_count() == 4
+        assert fresh.stats["artifact_corrupt"] == 1
+        assert store.path_for("k", "csr").with_suffix(
+            ".csr.corrupt").exists()
+
+    def test_least_recently_used_key_decodes_again(self, tmp_path):
+        store, _ = self.warm(tmp_path, key="key0")
+        for index in range(1, DECODE_MEMO_SIZE + 1):
+            for ext in ("nnf", "csr", "cert"):
+                shutil.copyfile(store.path_for("key0", ext),
+                                store.path_for(f"key{index}", ext))
+            assert store.load_nnf(f"key{index}", flags=CLAIMED)
+        assert store.stats["artifact_memo_hits"] == 0
+        assert store.load_nnf(f"key{DECODE_MEMO_SIZE}", flags=CLAIMED)
+        assert store.stats["artifact_memo_hits"] == 1
+        assert store.load_nnf("key0", flags=CLAIMED)
+        assert store.stats["artifact_memo_hits"] == 1
+        assert store.stats["artifact_mmap_hits"] == DECODE_MEMO_SIZE + 3
+
+    def test_threads_sharing_a_handle(self, tmp_path):
+        """The in-process serve pool (``workers=0``) shares one handle
+        between threads: loads, evictions and rewrites interleave with
+        no error, and every load serves the stored circuit."""
+        import threading
+        store, first = self.warm(tmp_path, key="key0")
+        keys = [f"key{index}" for index in range(DECODE_MEMO_SIZE + 8)]
+        for key in keys[1:]:
+            for ext in ("nnf", "csr", "cert"):
+                shutil.copyfile(store.path_for("key0", ext),
+                                store.path_for(key, ext))
+        digest = first.digest()
+        errors, wrong = [], []
+
+        def load(offset):
+            try:
+                for step in range(2 * len(keys)):
+                    got = store.load_nnf(keys[(offset + step) % len(keys)],
+                                         flags=CLAIMED)
+                    if got is None or got.digest() != digest:
+                        wrong.append(step)
+            except Exception as error:
+                errors.append(error)
+
+        def rewrite():
+            try:
+                for _ in range(10):
+                    store.save_nnf("key0", or_of_ands())
+            except Exception as error:
+                errors.append(error)
+        threads = [threading.Thread(target=load, args=(17 * i,))
+                   for i in range(4)] + [threading.Thread(target=rewrite)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert store.stats["artifact_memo_hits"] > 0
 
 
 # -- resource governance through generated code ------------------------------

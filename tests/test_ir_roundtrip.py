@@ -25,6 +25,7 @@ from repro.ir.serialize import (ir_from_nnf_text, ir_to_nnf_text,
 from repro.logic.cnf import Cnf
 from repro.nnf import queries, queries_legacy
 from repro.nnf.kernel import get_kernel
+from repro.perf.instrument import Counter
 
 
 def random_cnf(rng, max_vars=7):
@@ -342,6 +343,30 @@ def test_psdd_parameter_update_is_reflected():
     after = marginal(psdd, {1: True})
     assert after != pytest.approx(before)
     assert after == pytest.approx(marginal_legacy(psdd, {1: True}))
+
+
+@pytest.mark.parametrize("ir_first", [True, False])
+def test_get_kernel_and_ir_kernel_share_one_kernel(ir_first):
+    """Either call order yields one kernel for a root's interned IR,
+    so a count through one is a memo hit through the other."""
+    rng = random.Random(1808 + ir_first)
+    cnf = Cnf([tuple(v if rng.random() < 0.5 else -v
+                     for v in rng.sample(range(1, 10), 3))
+               for _ in range(12)], num_vars=9)
+    root = DnnfCompiler().compile(cnf)
+    nnf_to_ir(root)._kernel = None  # no kernel on the interned IR yet
+    if ir_first:
+        first = ir_kernel(nnf_to_ir(root))
+        second = get_kernel(root)
+    else:
+        first = get_kernel(root)
+        second = ir_kernel(nnf_to_ir(root))
+    assert first is second
+    counted, memoised = Counter(), Counter()
+    count = first.model_count(counted)
+    assert counted["kernel_memo_hits"] == 0
+    assert second.model_count(memoised) == count
+    assert memoised["kernel_memo_hits"] == 1
 
 
 def test_kernel_invalidate_drops_pure_memos():

@@ -17,9 +17,14 @@
   certified smoothing twin inherits the proof;
 * the serve and CLI surfaces: ``proof=true`` on ``POST /compile``
   yields ``proved``, and ``repro check --proof`` exits 5 on a
-  tampered trace while property violations keep exit 4.
+  tampered trace while property violations keep exit 4;
+* the ``tools/proof_check.py`` CI sweep counts a refuted, incomplete,
+  violating or crashed instance as failed, and stops when ``repro``
+  cannot run at all.
 """
 
+import importlib.util
+import os
 import random
 import subprocess
 import sys
@@ -40,6 +45,8 @@ from repro.limits.faults import (CORRUPT_MODES, MUTATE_MODES,
 from repro.logic import Cnf
 from repro.proof import (INCOMPLETE, PROOF_SCHEMA, PROVED, REFUTED,
                          check_proof, dimacs_digest, parse_header)
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMALL = "p cnf 4 3\n1 2 0\n-1 3 0\n2 -3 4 0\n"
 SMALL_COUNT = 7  # by brute force
@@ -439,3 +446,62 @@ class TestCliProof:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "s PROVED" in proc.stdout
+
+
+class TestProofCheckTool:
+    """``tools/proof_check.py`` counts an instance whose child exits
+    REFUTED (5), INCOMPLETE (3), with a property violation (4) or
+    with no verdict at all as failed and goes on; a backend whose
+    first child fails without a verdict is an environment error that
+    stops the sweep."""
+
+    @staticmethod
+    def tool(monkeypatch, exit_code):
+        """The tool with ``run_cli`` stubbed: call ``n`` (from 1) on
+        ``backend`` exits ``exit_code(n, backend)``.  Returns the
+        module and the list of stubbed calls."""
+        path = os.path.join(REPO_ROOT, "tools", "proof_check.py")
+        spec = importlib.util.spec_from_file_location("proof_check", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        calls = []
+
+        def run_cli(args, backend):
+            calls.append((backend, args[0]))
+            return subprocess.CompletedProcess(
+                [sys.executable, "-m", "repro", *args],
+                exit_code(len(calls), backend), stdout="",
+                stderr=f"stderr of call {len(calls)}")
+        monkeypatch.setattr(module, "run_cli", run_cli)
+        return module, calls
+
+    @pytest.mark.parametrize("broken", ["codegen", "interp"])
+    @pytest.mark.parametrize("code", [1, 2])
+    def test_backend_that_cannot_run_stops_the_sweep(
+            self, monkeypatch, capsys, broken, code):
+        """Every child on ``broken`` fails without a verdict (as when
+        ``repro`` is not importable there): its first child stops the
+        run."""
+        module, calls = self.tool(
+            monkeypatch, lambda n, backend: code if backend == broken
+            else 0)
+        assert module.main(["--random", "0"]) == 2
+        assert calls.index((broken, "compile")) == len(calls) - 1
+        out = capsys.readouterr().out
+        assert f"stderr of call {len(calls)}" in out
+        assert "environment error" in out
+        assert "FAILED" not in out
+
+    @pytest.mark.parametrize("failing_call", [2, 3])
+    @pytest.mark.parametrize("code", [5, 3, 4, 1])
+    def test_instance_failure_is_counted(self, monkeypatch, capsys,
+                                         failing_call, code):
+        module, calls = self.tool(
+            monkeypatch, lambda n, backend: code if n == failing_call
+            else 0)
+        assert module.main(["--random", "0", "--backends", "codegen"]) == 1
+        assert len(calls) == 2 * len(module.EDGE_CASES)
+        out = capsys.readouterr().out
+        assert f"stderr of call {failing_call}" in out
+        assert "proof check FAILED: 1 instance(s) not proved" in out
+        assert "environment error" not in out

@@ -6,12 +6,19 @@ Compiles a small CNF corpus — handcrafted edge cases plus randomized
 per instance, exercising the store path: trace sidecar, independent
 replay, digest binding, ``.cert`` memoisation) and requires every
 verdict to be ``PROVED`` with exit code 0.  A single ``REFUTED``
-(exit 5) or ``INCOMPLETE`` (exit 3) fails the job.
+(exit 5), ``INCOMPLETE`` (exit 3) or property violation (exit 4)
+fails the job.
 
 The corpus is compiled once per requested backend value so the job
 covers both ``REPRO_BACKEND=codegen`` and ``interp`` deployments; a
 second pass over a warm store additionally checks the memoised
 verdict still answers ``repro check --proof`` with exit 0.
+
+A child that fails without a verdict (a crash, a usage error) fails
+its instance too.  When the first child of a backend does, ``repro``
+could not run there at all (it is not importable, say): the run stops
+at once, prints that child's stderr tail and exits 2 with
+``environment error`` instead of failing every instance alike.
 
 Stdlib + the installed ``repro`` package only — no test framework, so
 it can run as a bare CI step.
@@ -30,6 +37,10 @@ import random
 import subprocess
 import sys
 import tempfile
+
+#: the child exits that judge an instance: PROVED, REFUTED,
+#: INCOMPLETE and a property violation
+VERDICT_EXITS = (0, 5, 3, 4)
 
 #: handcrafted shapes the checker's step grammar must close over:
 #: tautologies, unsat roots, unit cascades, disjoint components,
@@ -92,6 +103,12 @@ def main(argv=None) -> int:
                 compiled = run_cli(
                     ["compile", path, "--proof", "--cache-dir", cache],
                     backend)
+                if index == 0 and compiled.returncode not in VERDICT_EXITS:
+                    print(compiled.stderr[-2000:])
+                    print(f"proof check stopped: environment error "
+                          f"(backend={backend}: the first child exited "
+                          f"{compiled.returncode} without a verdict)")
+                    return 2
                 rechecked = run_cli(
                     ["check", path, "--proof", "--cache-dir", cache],
                     backend)
@@ -107,7 +124,7 @@ def main(argv=None) -> int:
         print(f"backend={backend}: {len(corpus)} instances "
               f"compiled + proof-checked")
     if failures:
-        print(f"proof check FAILED: {failures} refuted/incomplete")
+        print(f"proof check FAILED: {failures} instance(s) not proved")
         return 1
     print(f"proof check clean: {len(backends)} backend(s), "
           f"zero refutations")
