@@ -9,7 +9,9 @@ Mirrors the classic knowledge-compiler workflow (C2D/DSHARP-style):
   ``.vtree``), optionally through the content-addressed artifact
   store (``--cache-dir``, or ``$REPRO_CACHE_DIR``);
 * ``query FILE.cnf --query count|sat|wmc|mpe|marginals`` — compile
-  (store-backed) and answer a query in one call;
+  (store-backed) and answer a query over the header's variables
+  ``1..num_vars`` in one call, through the same
+  :func:`repro.ir.facade.query_ir` the server answers with;
 * ``sdd FILE.cnf [--vtree balanced|right-linear|left-linear]`` —
   compile to an SDD and report size statistics;
 * ``enumerate FILE.cnf [--limit N]`` — print models;
@@ -67,6 +69,7 @@ from typing import Dict, Optional, Sequence
 
 from .analyze.gate import PropertyViolation
 from .compile.dnnf_compiler import DnnfCompiler
+from .ir.codegen import resolve_backend
 from .limits.budget import Budget, BudgetExceeded
 from .logic.cnf import Cnf
 from .nnf.io import to_nnf_format
@@ -396,7 +399,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _run_query(args: argparse.Namespace) -> int:
-    from .nnf import queries
+    """Compile (store-backed) and answer through
+    :func:`repro.ir.facade.query_ir` over ``1..num_vars``; with
+    ``--optimize`` on the pass-minimized circuit, whose forgotten
+    Tseitin auxiliaries leave the scope (the 2^k correction), so every
+    answer matches the unoptimized one over the variables it names."""
+    from .ir import facade
+    from .ir.core import FLAG_DECOMPOSABLE, FLAG_DETERMINISTIC
+    from .ir.kernel import ir_kernel
+    from .ir.lower import nnf_to_ir
     cnf = _load(args.file)
     store = _store(args)
     weights = _parse_weights(args.weight, cnf.num_vars)
@@ -413,79 +424,33 @@ def _run_query(args: argparse.Namespace) -> int:
             print(format_stats(compiler.stats))
             _print_store_stats(store)
         raise
-    if getattr(args, "optimize", False):
-        return _query_optimized(args, cnf, circuit, weights, compiler,
-                                store)
-    from .nnf.kernel import get_kernel
-    kernel = get_kernel(circuit)
-    variables = range(1, cnf.num_vars + 1)
-    if args.query == "count":
-        print(f"s mc {queries.model_count(circuit, variables)}")
-    elif args.query == "sat":
-        satisfiable = queries.is_satisfiable_dnnf(circuit)
-        print("s SATISFIABLE" if satisfiable else "s UNSATISFIABLE")
-    elif args.query == "wmc":
-        print(f"s wmc {queries.weighted_model_count(circuit, weights, variables)}")
-    elif args.query == "mpe":
-        value, model = queries.mpe(circuit, weights, variables)
-        literals = " ".join(str(v if model[v] else -v)
-                            for v in sorted(model))
-        print(f"v {literals} 0")
-        print(f"s mpe {value}")
-    else:  # marginals
-        from .nnf.transform import smooth
-        counts = queries.marginal_counts(smooth(circuit), variables)
-        for var in variables:
-            print(f"c marginal {var} {counts[var]} {counts[-var]}")
-        print(f"s mc {queries.model_count(circuit, variables)}")
-    if args.stats:
-        print(format_stats(compiler.stats))
-        _print_store_stats(store)
-        _print_backend_stats(kernel)
-    return 0
-
-
-def _query_optimized(args: argparse.Namespace, cnf: Cnf, circuit,
-                     weights: Dict[int, float], compiler,
-                     store) -> int:
-    """--optimize: answer the query on the pass-minimized circuit.
-
-    Forgotten Tseitin auxiliaries are excluded from count widening
-    (the 2^k correction), so every answer matches the unoptimized
-    path exactly — just over fewer nodes.
-    """
-    from .ir import facade
-    from .ir.core import FLAG_DECOMPOSABLE, FLAG_DETERMINISTIC
-    from .ir.lower import nnf_to_ir
     ir = nnf_to_ir(circuit,
                    flags=FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC)
-    result = _optimize_circuit_ir(args, ir, sorted(cnf.aux_vars))
-    out = facade.query_ir(
-        result.ir, args.query, num_vars=cnf.num_vars,
-        weights=weights if args.query in ("wmc", "mpe") else None,
-        forgotten=result.forgotten)
+    forgotten: Sequence[int] = ()
+    if args.optimize:
+        result = _optimize_circuit_ir(args, ir, sorted(cnf.aux_vars))
+        ir, forgotten = result.ir, result.forgotten
+    out = facade.query_ir(ir, args.query, num_vars=cnf.num_vars,
+                          weights=weights, forgotten=forgotten)
     if args.query == "count":
         print(f"s mc {out['result']}")
     elif args.query == "sat":
-        print("s SATISFIABLE" if out["result"]
-              else "s UNSATISFIABLE")
+        print("s SATISFIABLE" if out["result"] else "s UNSATISFIABLE")
     elif args.query == "wmc":
         print(f"s wmc {out['result']}")
     elif args.query == "mpe":
-        literals = " ".join(
-            str(int(var) if state else -int(var))
-            for var, state in sorted(out["model"].items(),
-                                     key=lambda kv: int(kv[0])))
+        literals = " ".join(var if state else f"-{var}"
+                            for var, state in out["model"].items())
         print(f"v {literals} 0")
         print(f"s mpe {out['result']}")
     else:  # marginals
-        for var_text, (neg, pos) in sorted(
-                out["result"].items(), key=lambda kv: int(kv[0])):
-            print(f"c marginal {var_text} {pos} {neg}")
+        for var, (neg, pos) in out["result"].items():
+            print(f"c marginal {var} {pos} {neg}")
         print(f"s mc {out['count']}")
     if args.stats:
         print(format_stats(compiler.stats))
         _print_store_stats(store)
+        _print_backend_stats(ir_kernel(ir))
     return 0
 
 
@@ -493,7 +458,6 @@ def _print_backend_stats(kernel) -> None:
     """Evaluator-backend counters for ``repro query --stats``: which
     backend answered, builds and fallbacks, and the build-vs-eval time
     split (see docs/performance.md)."""
-    from .ir.codegen import resolve_backend
     print(f"c backend {resolve_backend()}")
     compiled = getattr(kernel, "_codegen", None)
     stats = getattr(compiled, "stats", None)
@@ -865,7 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="sweep the store for orphaned sidecars "
                    "(.csr/.proof/.cert without a live artifact, "
                    "stale .corrupt quarantines, tmp files) and "
-                   "the .gen.py sources older stores cached")
+                   "the .gen.py sources and variant .csr twins "
+                   "older stores wrote")
     cache_gc.add_argument("--cache-dir",
                           help="store directory (default "
                                "$REPRO_CACHE_DIR)")
@@ -907,9 +872,9 @@ def build_parser() -> argparse.ArgumentParser:
              "requires a verified equivalence proof")
     query.add_argument(
         "--optimize", action="store_true",
-        help="answer on the pass-minimized circuit (forgotten "
-             "Tseitin auxiliaries excluded from count widening, so "
-             "results match the unoptimized path exactly)")
+        help="answer on the pass-minimized circuit (its forgotten "
+             "Tseitin auxiliaries leave the query's variables, so "
+             "results match the unoptimized path on the rest)")
     query.add_argument(
         "--passes", metavar="P1,P2,...",
         help="pass pipeline for --optimize (default "
@@ -1048,6 +1013,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command validates $REPRO_BACKEND, whether or not it
+        # reaches a kernel (a misspelt value must not pass unnoticed)
+        resolve_backend()
         return args.func(args)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)

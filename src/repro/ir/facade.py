@@ -20,7 +20,7 @@ become three calls:
   server can answer ``s bounds L U`` rather than 500;
 * :func:`query_artifact` / :func:`query_ir` — answer
   count/sat/wmc/mpe/marginals (scalar and batched WMC) on a stored
-  circuit, widening counts to ``num_vars`` exactly like the CLI does,
+  circuit over the variables ``1..num_vars`` (the kernel's ``scope``),
   with marginals routed through the repair gate so a non-smooth
   artifact is auto-smoothed rather than answered wrongly.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from typing import (Any, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Union)
+                    Optional, Sequence, Set, Union)
 
 from ..limits.anytime import anytime_count
 from ..limits.budget import Budget, BudgetExceeded
@@ -398,31 +398,11 @@ def load_artifact(store: ArtifactStore, key: str) -> Optional[CircuitIR]:
     return store.load_nnf(key)
 
 
-def _mentioned(kernel: IrKernel) -> List[int]:
-    if kernel.n == 0:
-        return []
-    return sorted(kernel.varsets[kernel.n - 1])
-
-
-def _widen_vars(kernel: IrKernel,
-                num_vars: Optional[int]) -> List[int]:
-    """The variables absent from the circuit but inside ``num_vars``
-    — unconstrained, each doubling the count (weight W(v)+W(-v))."""
-    mentioned = _mentioned(kernel)
-    if num_vars is None:
-        return []
-    if mentioned and num_vars < mentioned[-1]:
-        raise ValueError(
-            f"num_vars={num_vars} below the circuit's largest "
-            f"variable {mentioned[-1]}")
-    present = set(mentioned)
-    return [v for v in range(1, num_vars + 1) if v not in present]
-
-
 def _top(kernel: IrKernel, num_vars: Optional[int]) -> int:
     """The largest variable a weight map may name."""
-    return num_vars if num_vars is not None else \
-        (max(_mentioned(kernel) or [0]))
+    if num_vars is not None:
+        return num_vars
+    return max(kernel.varsets[kernel.n - 1], default=0) if kernel.n else 0
 
 
 def _check_literal(lit: Any, top: int) -> None:
@@ -456,12 +436,16 @@ def query_ir(ir: CircuitIR, query: str, *,
              ) -> Dict[str, Any]:
     """Answer one query on a compiled circuit; JSON-ready result.
 
-    ``num_vars`` widens counting queries to variables absent from the
-    circuit (each contributes a factor 2, or ``W(v) + W(-v)``).
-    ``forgotten`` names variables the optimizer existentially
-    quantified out (Tseitin auxiliaries): they are excluded from the
-    widening set, which is exactly the 2^k correction — a pruned
-    circuit answers the same counts as the original.
+    ``num_vars`` makes count, wmc, mpe and marginals range over the
+    variables ``1..num_vars`` (the kernel's ``scope``): each one the
+    circuit never mentions contributes its gap factor (2 to a count,
+    ``W(v) + W(-v)`` to a WMC, its heavier literal to an MPE value and
+    model), and the marginals name every one of them.  Without it the
+    answer ranges over the circuit's own variables.  ``forgotten``
+    names variables the optimizer existentially quantified out
+    (Tseitin auxiliaries): they are left out of the scope, which is
+    exactly the 2^k correction — a pruned circuit answers the same
+    counts as the original.
     ``codegen_store`` is accepted for existing callers and unused:
     evaluators are built in-process and never touch a store.
     Raises ``ValueError`` on a malformed request and
@@ -486,49 +470,48 @@ def _run_query(kernel: IrKernel, query: str, num_vars: Optional[int],
                weight_batch: Optional[Sequence[Mapping[int, float]]],
                forgotten: FrozenSet[int] = frozenset()
                ) -> Dict[str, Any]:
-    extra = [v for v in _widen_vars(kernel, num_vars)
-             if v not in forgotten]
+    scope = None if num_vars is None else \
+        set(range(1, num_vars + 1)).difference(forgotten)
     out: Dict[str, Any] = {"query": query}
     if query == "count":
-        out["result"] = kernel.model_count() << len(extra)
+        out["result"] = kernel.model_count(scope=scope)
     elif query == "sat":
         out["result"] = bool(kernel.sat())
     elif query == "wmc":
         if weight_batch is not None:
             out["result"] = _wmc_batch(kernel, num_vars, weight_batch,
-                                       extra)
+                                       scope)
             out["batch"] = len(out["result"])
         else:
             full = _full_weights(kernel, num_vars, weights)
-            value = kernel.wmc(full)
-            for var in extra:
-                value *= full[var] + full[-var]
-            out["result"] = float(value)
+            out["result"] = float(kernel.wmc(full, scope=scope))
     elif query == "mpe":
         full = _full_weights(kernel, num_vars, weights)
-        value, model = kernel.mpe(full)
+        value, model = kernel.mpe(full, scope=scope)
         out["result"] = float(value)
         out["model"] = {str(var): bool(state)
                         for var, state in sorted(model.items())}
     else:  # marginals
-        # repair mode: a non-smooth artifact is auto-smoothed (and
-        # re-certified) rather than served a silently-wrong marginal
-        from ..analyze.gate import gate_scope
-        with gate_scope("repair"):
-            counts = kernel.marginals()
-            total = kernel.model_count() << len(extra)
-        shift = len(extra)
+        # trust and strict rise to repair: a non-smooth artifact is
+        # auto-smoothed (and re-certified) rather than served a
+        # silently-wrong marginal; proved keeps its proof demand
+        from ..analyze.gate import gate_mode, gate_scope
+        with gate_scope("proved" if gate_mode() == "proved"
+                        else "repair"):
+            counts = kernel.marginals(scope=scope)
+            total = kernel.model_count(scope=scope)
+        variables = sorted(scope if scope is not None else
+                           {abs(lit) for lit in counts})
         out["result"] = {
-            str(var): [int(counts.get(-var, 0)) << shift,
-                       int(counts.get(var, 0)) << shift]
-            for var in _mentioned(kernel)}
+            str(var): [counts.get(-var, 0), counts.get(var, 0)]
+            for var in variables}
         out["count"] = total
     return out
 
 
 def _wmc_batch(kernel: IrKernel, num_vars: Optional[int],
                weight_batch: Sequence[Mapping[int, float]],
-               extra: List[int]) -> List[float]:
+               scope: Optional[Set[int]]) -> List[float]:
     """The batch as one ``(2·top+1, rows)`` table, literal ``lit`` on
     row ``top + lit``: every cell starts at 1.0, each batch row's wire
     entries are written into its column by index, and the kernel
@@ -549,9 +532,7 @@ def _wmc_batch(kernel: IrKernel, num_vars: Optional[int],
             wire.values(), dtype=float, count=len(wire))
     packed = {lit: table[top + lit]
               for var in range(1, top + 1) for lit in (var, -var)}
-    values = kernel.wmc_batch(packed)
-    for var in extra:
-        values = values * (packed[var] + packed[-var])
+    values = kernel.wmc_batch(packed, scope=scope)
     return [float(v) for v in values]
 
 
@@ -627,8 +608,8 @@ def query_artifact(store: ArtifactStore, key: str, query: str, *,
     ``optimize=True`` serves the smallest *certified* stored variant
     (:meth:`ArtifactStore.load_smallest`) instead of the base
     artifact — queries run over fewer nodes, with the variant's
-    forgotten auxiliaries excluded from count widening so every
-    answer matches the base circuit's exactly.
+    forgotten auxiliaries left out of the query's scope so every
+    answer matches the base circuit's on the variables it names.
     """
     forgotten: FrozenSet[int] = frozenset()
     if optimize:

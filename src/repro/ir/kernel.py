@@ -16,6 +16,14 @@ every query family on the circuit:
 * the numpy batch variants of WMC / evaluation / derivatives (one
   length-N row per node, linear and log space).
 
+Count, WMC (scalar, batch, log batch), MPE and marginals take a
+keyword ``scope``: the variables the answer ranges over.  A variable
+a sub-circuit does not mention contributes its semiring's gap factor
+on every or-edge, and the root's gap — the scope variables the whole
+circuit never mentions — is applied the same way after either
+backend's pass, so no caller widens an answer itself.  ``scope=None``
+answers over the circuit's own variables.
+
 Weighted circuit families (PSDDs) lower their parameters into
 ``KIND_PARAM`` leaves; every weighted pass takes an optional ``params``
 vector read *at query time*, so in-place parameter updates (EM,
@@ -55,8 +63,9 @@ works (and this module imports) without numpy.
 from __future__ import annotations
 
 import operator
-from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple)
+from itertools import chain
+from typing import (Any, Callable, Collection, Dict, Iterable, Iterator,
+                    List, Mapping, NamedTuple, Optional, Sequence, Tuple)
 
 from ..limits.budget import resolve_budget
 from ..perf.instrument import Counter
@@ -78,6 +87,8 @@ WeightBatch = Mapping[int, "object"]
 Params = Optional[Sequence[float]]
 #: the variables an or-gate child does not mention (its edge's gap)
 Gap = Tuple[int, ...]
+#: the variables a query's answer ranges over (None: the circuit's own)
+Scope = Optional[Iterable[int]]
 
 
 def _numpy() -> Any:
@@ -131,6 +142,11 @@ def _shift(count: int, gap: Gap) -> int:
 
 def _not_smooth(value: Any, gap: Gap) -> Any:
     raise ValueError("marginal_counts requires a smooth circuit")
+
+
+def _literals(variables: Collection[int]) -> Iterator[int]:
+    """Both literals of every variable."""
+    return chain(variables, map(operator.neg, variables))
 
 
 def _max(best: Any, value: Any) -> Any:
@@ -272,6 +288,19 @@ class IrKernel:
             stats.incr("nodes_visited", passes * self.n)
             if batch is not None:
                 stats.incr("batch_columns", batch)
+
+    def _root_gap(self, scope: Scope) -> Gap:
+        """The root's gap: the ``scope`` variables the circuit never
+        mentions, ascending (``()`` when ``scope`` is None).  A scope
+        that misses a circuit variable raises ValueError."""
+        if scope is None:
+            return ()
+        variables = set(scope)
+        own = self.varsets[self.n - 1] if self.n else frozenset()
+        if not own <= variables:
+            raise ValueError(f"scope misses circuit variables "
+                             f"{sorted(own - variables)}")
+        return tuple(sorted(variables - own))
 
     def _gated(self, query: str) -> "IrKernel":
         """The query gate (:mod:`repro.analyze.gate`): the kernel the
@@ -454,13 +483,17 @@ class IrKernel:
         return model
 
     # -- counting ------------------------------------------------------------
-    def model_count(self, stats: Counter | None = None) -> int:
-        """#SAT of a d-DNNF over the circuit's own variables (memoised).
-        Parameter leaves count as 1 (the support of a weighted circuit).
+    def model_count(self, stats: Counter | None = None, *,
+                    scope: Scope = None) -> int:
+        """#SAT of a d-DNNF over ``scope`` (the circuit's own variables
+        are memoised; each scope variable the circuit never mentions
+        doubles the count).  Parameter leaves count as 1 (the support
+        of a weighted circuit).
         """
         kernel = self._gated("count")
         if kernel is not self:
-            return kernel.model_count(stats)
+            return kernel.model_count(stats, scope=scope)
+        gap = self._root_gap(scope)
         if self._model_count is None:
             count = self._via_codegen("model_count", stats)
             if count is None:
@@ -469,46 +502,60 @@ class IrKernel:
             self._model_count = count
         elif stats is not None:
             stats.incr("kernel_memo_hits")
-        return self._model_count
+        return _COUNT.gap(self._model_count, gap)
 
     def wmc(self, weights: Weights, stats: Counter | None = None,
-            params: Params = None) -> float:
-        """Weighted model count of a d-DNNF over the circuit variables.
+            params: Params = None, *, scope: Scope = None) -> float:
+        """Weighted model count of a d-DNNF over ``scope``.
 
-        Or-gate gap variables contribute ``W(v) + W(-v)``; the caller
-        widens to extra variables the same way.  Parameter leaves read
-        ``params`` (PSDD θs) at call time.
+        Gap variables — of an or-edge, or scope variables the circuit
+        never mentions — contribute ``W(v) + W(-v)``.  Parameter
+        leaves read ``params`` (PSDD θs) at call time.
         """
         kernel = self._gated("wmc")
         if kernel is not self:
-            return kernel.wmc(weights, stats, params)
-        answer = self._via_codegen("wmc", weights, stats)
-        if answer is not None:
-            return answer
-        self._sweeps(stats)
-        values = self._up(_weighted(0.0, 1.0, operator.mul, operator.add,
-                                    self._leaf(weights, None, params),
-                                    weights))
-        return values[self.n - 1] if self.n else 0.0
+            return kernel.wmc(weights, stats, params, scope=scope)
+        gap = self._root_gap(scope)
+        semiring = _weighted(0.0, 1.0, operator.mul, operator.add,
+                             self._leaf(weights, None, params), weights)
+        value = self._via_codegen("wmc", weights, stats)
+        if value is None:
+            self._sweeps(stats)
+            value = self._up(semiring)[self.n - 1] if self.n else 0.0
+        return semiring.gap(value, gap)
 
     # -- optimisation --------------------------------------------------------
     def mpe(self, weights: Weights, stats: Counter | None = None,
-            params: Params = None) -> Tuple[float, Dict[int, bool]]:
-        """Max-product upward pass plus traceback on a d-DNNF."""
+            params: Params = None, *, scope: Scope = None
+            ) -> Tuple[float, Dict[int, bool]]:
+        """Max-product upward pass plus traceback on a d-DNNF.  Each
+        scope variable the circuit never mentions multiplies the value
+        by its heavier literal's weight, and that literal joins the
+        model (ties go positive, as in the traceback).  An
+        unsatisfiable circuit answers the semiring's zero, ``-inf``,
+        which no gap extends (the traceback likewise never follows a
+        ``-inf`` edge)."""
         kernel = self._gated("mpe")
         if kernel is not self:
-            return kernel.mpe(weights, stats, params)
+            return kernel.mpe(weights, stats, params, scope=scope)
+        gap = self._root_gap(scope)
+        semiring = _weighted(float("-inf"), 1.0, operator.mul, _max,
+                             self._leaf(weights, None, params), weights)
         answer = self._via_codegen("mpe", weights, stats)
-        if answer is not None:
+        if answer is None:
+            self._sweeps(stats)
+            if self.n:
+                values = self._up(semiring)
+                answer = values[self.n - 1], self._traceback(
+                    values.__getitem__, weights)
+            else:
+                answer = 0.0, {}
+        value, model = answer
+        if value == semiring.zero:
             return answer
-        self._sweeps(stats)
-        values = self._up(_weighted(float("-inf"), 1.0, operator.mul,
-                                    _max, self._leaf(weights, None, params),
-                                    weights))
-        if not self.n:
-            return 0.0, {}
-        return values[self.n - 1], self._traceback(values.__getitem__,
-                                                   weights)
+        for var in gap:
+            model[var] = weights[var] >= weights[-var]
+        return semiring.gap(value, gap), model
 
     # -- marginals -----------------------------------------------------------
     def derivatives(self, stats: Counter | None = None) -> List[int]:
@@ -527,18 +574,31 @@ class IrKernel:
         self._derivatives = self._down(_SMOOTH_COUNT, counts)
         return self._derivatives
 
-    def marginals(self, stats: Counter | None = None) -> Dict[int, int]:
+    def marginals(self, stats: Counter | None = None, *,
+                  scope: Scope = None) -> Dict[int, int]:
         """Literal → number of root models containing it (smooth
-        d-DNNF); unmentioned variables are the caller's concern."""
+        d-DNNF), over the circuit's literal leaves.  With a ``scope``,
+        the models range over its variables and every scope literal
+        gets a key: mentioned counts are shifted by the root gap, and
+        each literal of a gap variable holds half the widened count."""
         kernel = self._gated("marginals")
         if kernel is not self:
-            return kernel.marginals(stats)
+            return kernel.marginals(stats, scope=scope)
+        gap = self._root_gap(scope)
         derivative = self.derivatives(stats)
-        result: Dict[int, int] = {}
+        result: Dict[int, int] = {} if scope is None else dict.fromkeys(
+            _literals(self.varsets[self.n - 1] if self.n else ()), 0)
         for i in range(self.n):
             if self.kinds[i] == KIND_LIT:
                 lit = self.lits[i]
                 result[lit] = result.get(lit, 0) + derivative[i]
+        if gap:
+            # every model extends both ways over the gap, so half of
+            # the widened count holds each of its literals
+            shift = len(gap)
+            result = {lit: count << shift for lit, count in result.items()}
+            result.update(dict.fromkeys(
+                _literals(gap), self.model_count(stats) << (shift - 1)))
         return result
 
     # -- evaluation ----------------------------------------------------------
@@ -570,70 +630,76 @@ class IrKernel:
         raise ValueError("cannot infer the batch size from an empty "
                          "weight/assignment batch")
 
-    def _linear_batch(self, weights: WeightBatch, stats: Counter | None,
-                      params: Params, passes: int) -> _Semiring:
-        """The linear semiring over length-N rows, after the sweep
-        charge."""
+    def _linear_batch(self, weights: WeightBatch,
+                      params: Params) -> _Semiring:
+        """The linear semiring over length-N rows."""
         np = _numpy()
-        batch = self._batch_size(weights)
-        self._sweeps(stats, passes, batch)
-        ones = np.ones(batch)
-        return _weighted(np.zeros(batch), ones, operator.mul, operator.add,
+        ones = np.ones(self._batch_size(weights))
+        return _weighted(np.zeros(len(ones)), ones, operator.mul,
+                         operator.add,
                          self._leaf(weights, ones.__mul__, params), weights)
 
-    def _log_batch(self, log_weights: WeightBatch, stats: Counter | None,
-                   params: Params, passes: int) -> _Semiring:
-        """The log semiring over length-N rows (``-inf`` is zero), after
-        the sweep charge."""
+    def _log_batch(self, log_weights: WeightBatch,
+                   params: Params) -> _Semiring:
+        """The log semiring over length-N rows (``-inf`` is zero)."""
         np = _numpy()
-        batch = self._batch_size(log_weights)
-        self._sweeps(stats, passes, batch)
-        zeros = np.zeros(batch)
+        zeros = np.zeros(self._batch_size(log_weights))
 
         def log_param(theta: Any) -> Any:
             with np.errstate(divide="ignore"):
                 return zeros + np.log(theta)
-        return _weighted(np.full(batch, -np.inf), zeros, operator.add,
+        return _weighted(np.full(len(zeros), -np.inf), zeros, operator.add,
                          np.logaddexp,
                          self._leaf(log_weights, log_param, params),
                          log_weights)
 
+    def _batch_root(self, semiring: _Semiring,
+                    stats: Counter | None) -> Any:
+        """The interpreter's root row of one batched sweep (a copy: a
+        leaf's row may be the caller's array)."""
+        self._sweeps(stats, batch=len(semiring.one))
+        if not self.n:
+            return semiring.zero
+        return self._up(semiring)[self.n - 1].copy()
+
     def wmc_batch(self, weights: WeightBatch,
                   stats: Counter | None = None,
-                  params: Params = None) -> Any:
+                  params: Params = None, *, scope: Scope = None) -> Any:
         """Weighted model counts of N weight vectors in one pass.
 
         ``weights`` maps every needed literal to a length-N array (see
         :func:`pack_weight_batch`).  Returns a length-N float array;
-        column ``j`` equals ``self.wmc(column j of weights)``.
+        column ``j`` equals ``self.wmc(column j of weights, scope=scope)``.
         """
         kernel = self._gated("wmc")
         if kernel is not self:
-            return kernel.wmc_batch(weights, stats, params)
-        answer = self._via_codegen("wmc_batch", weights, stats)
-        if answer is not None:
-            return answer
-        semiring = self._linear_batch(weights, stats, params, 1)
-        values = self._up(semiring)
-        return values[self.n - 1].copy() if self.n else semiring.zero
+            return kernel.wmc_batch(weights, stats, params, scope=scope)
+        gap = self._root_gap(scope)
+        semiring = self._linear_batch(weights, params)
+        values = self._via_codegen("wmc_batch", weights, stats)
+        if values is None:
+            values = self._batch_root(semiring, stats)
+        return semiring.gap(values, gap)
 
     def wmc_log_batch(self, log_weights: WeightBatch,
                       stats: Counter | None = None,
-                      params: Params = None) -> Any:
+                      params: Params = None, *, scope: Scope = None) -> Any:
         """Log-space :meth:`wmc_batch`: inputs and output are log
         weights (``-inf`` for weight zero), so deep circuits with tiny
-        per-model weights cannot underflow.  ``params`` stays linear
-        and is logged here.
+        per-model weights cannot underflow; a gap variable adds the
+        ``logaddexp`` of its two literals.  ``params`` stays linear and
+        is logged here.
         """
         kernel = self._gated("wmc")
         if kernel is not self:
-            return kernel.wmc_log_batch(log_weights, stats, params)
-        answer = self._via_codegen("wmc_log_batch", log_weights, stats)
-        if answer is not None:
-            return answer
-        semiring = self._log_batch(log_weights, stats, params, 1)
-        values = self._up(semiring)
-        return values[self.n - 1].copy() if self.n else semiring.zero
+            return kernel.wmc_log_batch(log_weights, stats, params,
+                                        scope=scope)
+        gap = self._root_gap(scope)
+        semiring = self._log_batch(log_weights, params)
+        values = self._via_codegen("wmc_log_batch", log_weights, stats)
+        if values is None:
+            values = self._batch_root(semiring, stats)
+        return semiring.gap(values, gap)
 
     def evaluate_batch(self, assignment: WeightBatch,
                        stats: Counter | None = None) -> Any:
@@ -677,7 +743,8 @@ class IrKernel:
         contribute their ``W(v) + W(-v)`` factor on the edge.
         """
         self._gated("derivatives")  # gate only: node-indexed result
-        semiring = self._linear_batch(weights, stats, params, 2)
+        semiring = self._linear_batch(weights, params)
+        self._sweeps(stats, 2, len(semiring.one))
         values = self._up(semiring)
         return values, self._down(semiring, values)
 
@@ -687,7 +754,8 @@ class IrKernel:
         """Log-space :meth:`derivatives_batch` (values and derivatives
         are logs; ``-inf`` encodes zero)."""
         self._gated("derivatives")  # gate only: node-indexed result
-        semiring = self._log_batch(log_weights, stats, params, 2)
+        semiring = self._log_batch(log_weights, params)
+        self._sweeps(stats, 2, len(semiring.one))
         values = self._up(semiring)
         return values, self._down(semiring, values)
 

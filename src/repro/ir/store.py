@@ -451,19 +451,17 @@ class ArtifactStore:
                      forgotten: "Any" = ()) -> Path:
         """Record a certified optimized twin of artifact ``key``.
 
-        The circuit is written to ``<key>.opt-<signature>.nnf`` (plus a
-        ``.csr`` mmap twin) and indexed in the base artifact's ``.cert``
-        sidecar under ``variants[signature]`` with its node count,
-        content digest, pass list and forgotten-variable set — enough
-        for :meth:`load_smallest` to pick the best certified variant
+        The circuit is written to ``<key>.opt-<signature>.nnf`` (the
+        text :meth:`load_variant` parses; a variant has no ``.csr``
+        twin) and indexed in the base artifact's ``.cert`` sidecar
+        under ``variants[signature]`` with its node count, content
+        digest, pass list and forgotten-variable set — enough for
+        :meth:`load_smallest` to pick the best certified variant
         without parsing every file.
         """
         text = ir_to_nnf_text(ir)
-        ext = f"opt-{signature}.nnf"
-        path = self._write(self.path_for(key, ext), text)
-        self._write_bytes(
-            self.path_for(key, f"opt-{signature}.csr"),
-            ir_to_csr_bytes(ir, self._content_hash(text)))
+        path = self._write(self.path_for(key, f"opt-{signature}.nnf"),
+                           text)
         cert = self._read_cert(key)
         if cert is None:
             # no certificate yet (verify=False store): anchor the
@@ -547,8 +545,8 @@ class ArtifactStore:
         """The smallest certified circuit for ``key``: the best
         optimized variant when one beats the base artifact, else the
         base itself.  ``info`` carries ``signature`` (None for the
-        base) and ``forgotten`` (variables the query layer must exclude
-        from count widening — the Tseitin 2^k correction)."""
+        base) and ``forgotten`` (variables the query layer must leave
+        out of a query's scope — the Tseitin 2^k correction)."""
         base = self.load_nnf(key, flags=flags)
         if base is None:
             return None
@@ -639,8 +637,10 @@ class ArtifactStore:
         * ``.proof`` equivalence traces whose ``.nnf`` is gone;
         * ``.vtree`` files whose ``.sdd`` is gone;
         * ``.cert`` sidecars with neither a ``.nnf`` nor an ``.sdd``;
-        * ``.opt-*.nnf``/``.csr`` variants whose base artifact is gone
-          or that no ``.cert`` references any more;
+        * ``.opt-*.nnf`` variants whose base artifact is gone or that
+          no ``.cert`` references any more, and every ``.opt-*.csr``
+          (older stores wrote one next to each variant; nothing reads
+          it);
         * every ``.gen.py`` file: older stores cached generated
           evaluator sources there, and evaluators are now built
           in-process from the circuit, so nothing reads them.
@@ -679,12 +679,8 @@ class ArtifactStore:
             key, _, ext = name.partition(".")
             if ext.startswith("opt-"):
                 sig = ext[4:].split(".", 1)[0]
-                if key not in nnf_keys:
-                    return "orphan_variant"
-                if sig not in variant_sigs.get(key, set()):
-                    return "orphan_variant"
-                if ext.endswith(".csr") and not self.path_for(
-                        key, f"opt-{sig}.nnf").exists():
+                if ext.endswith(".csr") or key not in nnf_keys or \
+                        sig not in variant_sigs.get(key, set()):
                     return "orphan_variant"
                 return None
             if ext == "csr":

@@ -5,6 +5,9 @@ handle non-smooth circuits by tracking variable sets and scaling by
 2^gap (equivalently: the weight of a missing variable is the sum of its
 literal weights), so explicit smoothing is not required — but see
 :func:`repro.nnf.transform.smooth` for the explicit transformation.
+``variables`` is the query's scope: the kernel widens the answer over
+the listed variables the circuit never mentions, and raises
+``ValueError`` when the list misses a circuit variable.
 
 The caller is responsible for the circuit actually having the stated
 property; :mod:`repro.nnf.properties` provides checkers.
@@ -55,15 +58,7 @@ def model_count(root: NnfNode,
     """#SAT on a d-DNNF circuit (Fig 8) — requires decomposability and
     determinism.  ``variables`` widens the count to a superset of the
     circuit variables (each absent variable doubles the count)."""
-    kernel = get_kernel(root)
-    result = kernel.model_count(stats)
-    if variables is not None:
-        mentioned = root.variables()
-        extra = set(variables) - mentioned
-        if mentioned - set(variables):
-            raise ValueError("variables must cover the circuit variables")
-        result <<= len(extra)
-    return result
+    return get_kernel(root).model_count(stats, scope=variables)
 
 
 def weighted_model_count(root: NnfNode, weights: Weights,
@@ -75,12 +70,7 @@ def weighted_model_count(root: NnfNode, weights: Weights,
     or-gate's child contribute a factor W(v) + W(-v); likewise variables
     in ``variables`` that are absent from the whole circuit.
     """
-    kernel = get_kernel(root)
-    result = kernel.wmc(weights, stats)
-    if variables is not None:
-        for var in set(variables) - root.variables():
-            result *= weights[var] + weights[-var]
-    return result
+    return get_kernel(root).wmc(weights, stats, scope=variables)
 
 
 def _as_weight_batch(root: NnfNode, weights, variables):
@@ -106,12 +96,7 @@ def weighted_model_count_batch(root: NnfNode, weights,
     scalar query.
     """
     batch = _as_weight_batch(root, weights, variables)
-    kernel = get_kernel(root)
-    result = kernel.wmc_batch(batch, stats)
-    if variables is not None:
-        for var in set(variables) - root.variables():
-            result = result * (batch[var] + batch[-var])
-    return result
+    return get_kernel(root).wmc_batch(batch, stats, scope=variables)
 
 
 def weighted_model_count_log_batch(root: NnfNode, weights,
@@ -127,13 +112,8 @@ def weighted_model_count_log_batch(root: NnfNode, weights,
     with np.errstate(divide="ignore"):
         log_batch = {lit: np.log(np.asarray(column, dtype=float))
                      for lit, column in batch.items()}
-    kernel = get_kernel(root)
-    result = kernel.wmc_log_batch(log_batch, stats)
-    if variables is not None:
-        for var in set(variables) - root.variables():
-            result = result + np.logaddexp(log_batch[var],
-                                           log_batch[-var])
-    return result
+    return get_kernel(root).wmc_log_batch(log_batch, stats,
+                                          scope=variables)
 
 
 def evaluate_batch(root: NnfNode, assignments,
@@ -209,22 +189,17 @@ def mpe(root: NnfNode, weights: Weights,
         stats: Counter | None = None
         ) -> Tuple[float, Dict[int, bool]]:
     """Most probable explanation on a d-DNNF: max-product upward pass
-    plus traceback.  Returns (max weight, maximising assignment)."""
-    if variables is None:
-        variables = sorted(root.variables())
-    value, assignment = get_kernel(root).mpe(weights, stats)
-    for var in variables:
-        if var not in assignment:
-            lit = var if weights[var] >= weights[-var] else -var
-            assignment[abs(lit)] = lit > 0
-            value *= weights[lit]
-    return value, assignment
+    plus traceback.  Returns (max weight, maximising assignment); each
+    of ``variables`` the circuit never mentions takes its heavier
+    literal."""
+    return get_kernel(root).mpe(weights, stats, scope=variables)
 
 
 def marginal_counts(root: NnfNode,
                     variables: Sequence[int] | None = None,
                     stats: Counter | None = None) -> Dict[int, int]:
-    """For each literal ℓ, the number of models containing ℓ.
+    """For each literal ℓ over ``variables`` (default: the circuit's),
+    the number of models over ``variables`` containing ℓ.
 
     Requires a *smooth* d-DNNF (see :func:`repro.nnf.transform.smooth`);
     computed with the upward/downward differential passes of [23, 25] —
@@ -232,20 +207,7 @@ def marginal_counts(root: NnfNode,
     """
     if variables is None:
         variables = sorted(root.variables())
-    kernel = get_kernel(root)
-    result = kernel.marginals(stats)
-    total = kernel.model_count(stats)
-    mentioned = root.variables()
-    for var in variables:
-        if var in mentioned:
-            # a polarity absent from a smooth circuit has no models
-            result.setdefault(var, 0)
-            result.setdefault(-var, 0)
-        else:
-            # unmentioned variables: every model extends both ways
-            result.setdefault(var, total)
-            result.setdefault(-var, total)
-    return result
+    return get_kernel(root).marginals(stats, scope=variables)
 
 
 def condition_evaluate(root: NnfNode, evidence: Mapping[int, bool],

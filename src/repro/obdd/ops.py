@@ -93,16 +93,10 @@ def model_count(node: ObddNode,
     pass replaces the level-gap scheme of the seed — which survives as
     :func:`model_count_legacy`.
     """
-    manager = node.manager
     if variables is None:
-        variables = manager.var_order
-    mentioned = node.variables()
-    missing = mentioned - set(variables)
-    if missing:
-        raise ValueError(f"count variables missing {sorted(missing)}")
+        variables = node.manager.var_order
     from ..ir import ir_kernel, obdd_to_ir
-    count = ir_kernel(obdd_to_ir(node)).model_count()
-    return count << (len(set(variables)) - len(mentioned))
+    return ir_kernel(obdd_to_ir(node)).model_count(scope=variables)
 
 
 def model_count_legacy(node: ObddNode,
@@ -152,14 +146,10 @@ def weighted_model_count(node: ObddNode, weights: Mapping[int, float],
     IR-kernel backed like :func:`model_count`; the seed's span-weight
     pass survives as :func:`weighted_model_count_legacy`.
     """
-    manager = node.manager
     if variables is None:
-        variables = manager.var_order
+        variables = node.manager.var_order
     from ..ir import ir_kernel, obdd_to_ir
-    result = ir_kernel(obdd_to_ir(node)).wmc(weights)
-    for var in set(variables) - node.variables():
-        result *= weights[var] + weights[-var]
-    return result
+    return ir_kernel(obdd_to_ir(node)).wmc(weights, scope=variables)
 
 
 def weighted_model_count_legacy(node: ObddNode,

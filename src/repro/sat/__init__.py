@@ -14,10 +14,9 @@ imports no ``*_legacy`` name at module level (enforced by
 """
 
 from .dpll import enumerate_models, is_satisfiable, solve, unit_propagate
-from .propagation import WatchedSolver, propagate_implied, propagate_watched
+from .propagation import WatchedSolver, propagate_watched
 from .counter import ModelCounter, count_models
 
 __all__ = ["enumerate_models", "is_satisfiable", "solve",
-           "unit_propagate", "WatchedSolver",
-           "propagate_implied", "propagate_watched", "ModelCounter",
-           "count_models"]
+           "unit_propagate", "WatchedSolver", "propagate_watched",
+           "ModelCounter", "count_models"]

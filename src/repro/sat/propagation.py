@@ -35,8 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..perf.instrument import Counter
 
-__all__ = ["propagate_watched", "propagate_implied", "TrailPropagator",
-           "WatchedSolver"]
+__all__ = ["propagate_watched", "TrailPropagator", "WatchedSolver"]
 
 Clause = Tuple[int, ...]
 Assignment = Dict[int, bool]
@@ -180,22 +179,6 @@ def propagate_watched(clauses: Sequence[Clause], assignment: Assignment,
             return None  # unreachable at fixpoint; defensive
         reduced.append(tuple(remaining))
     return reduced
-
-
-def propagate_implied(clauses: Sequence[Clause],
-                      stats: Counter | None = None
-                      ) -> Tuple[List[int], Optional[List[Clause]]]:
-    """Propagate from scratch; return (implied literals, residual).
-
-    The compiler-facing contract: on conflict returns ``([], None)``,
-    otherwise the implied literals in propagation order and a residual
-    that mentions no implied variable.
-    """
-    assignment: Assignment = {}
-    residual = propagate_watched(clauses, assignment, stats)
-    if residual is None:
-        return [], None
-    return [v if val else -v for v, val in assignment.items()], residual
 
 
 class TrailPropagator:

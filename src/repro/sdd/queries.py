@@ -82,9 +82,7 @@ def model_count(node: SddNode, scope: Vtree | None = None) -> int:
     if node.is_false:
         return 0
     from ..ir import ir_kernel, sdd_to_ir
-    ir = sdd_to_ir(node)
-    count = ir_kernel(ir).model_count()
-    return count << (len(scope.variables) - len(ir.variables()))
+    return ir_kernel(sdd_to_ir(node)).model_count(scope=scope.variables)
 
 
 def model_count_legacy(node: SddNode, scope: Vtree | None = None) -> int:
@@ -140,11 +138,7 @@ def weighted_model_count(node: SddNode, weights: Mapping[int, float],
     if node.is_false:
         return 0.0
     from ..ir import ir_kernel, sdd_to_ir
-    ir = sdd_to_ir(node)
-    result = ir_kernel(ir).wmc(weights)
-    for var in scope.variables - ir.variables():
-        result *= weights[var] + weights[-var]
-    return result
+    return ir_kernel(sdd_to_ir(node)).wmc(weights, scope=scope.variables)
 
 
 def weighted_model_count_legacy(node: SddNode,

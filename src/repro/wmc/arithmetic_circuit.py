@@ -29,8 +29,8 @@ class ArithmeticCircuit:
     differentiation.
 
     The circuit is smoothed at construction; variables never mentioned
-    by the circuit are tracked separately and contribute the factor
-    W(v) + W(-v).
+    by the circuit (``free_vars``) contribute the factor W(v) + W(-v) —
+    in the batch evaluations through the kernel's ``scope``.
     """
 
     def __init__(self, root: NnfNode, variables: List[int]):
@@ -168,10 +168,8 @@ class ArithmeticCircuit:
         literal → length-N array mapping over ``self.variables``;
         column ``j`` of the result equals ``evaluate`` of vector ``j``.
         """
-        batch = self._weight_batch(weights)
-        result = get_kernel(self.root).wmc_batch(batch)
-        free = self._free_factor_batch(batch)
-        return result if free is None else result * free
+        return get_kernel(self.root).wmc_batch(
+            self._weight_batch(weights), scope=self.variables)
 
     def evaluate_log_batch(self, weights):
         """Log-space :meth:`evaluate_batch`: same linear weights in,
@@ -181,11 +179,8 @@ class ArithmeticCircuit:
         with np.errstate(divide="ignore"):
             log_batch = {lit: np.log(np.asarray(col, dtype=float))
                          for lit, col in batch.items()}
-        result = get_kernel(self.root).wmc_log_batch(log_batch)
-        for var in self.free_vars:
-            result = result + np.logaddexp(log_batch[var],
-                                           log_batch[-var])
-        return result
+        return get_kernel(self.root).wmc_log_batch(log_batch,
+                                                   scope=self.variables)
 
     def derivatives_batch(self, weights) -> Dict[int, "object"]:
         """Batched :meth:`derivatives`: literal → length-N array of

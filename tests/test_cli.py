@@ -157,6 +157,19 @@ def test_bad_dimacs(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["compile", "--proof"],
+                                  ["count"], ["sat"], ["query"]])
+def test_bad_backend_exits_2_before_any_command(cnf_file, capsys,
+                                                monkeypatch, argv):
+    """``$REPRO_BACKEND`` is validated once, before the command runs:
+    a compile that never reaches a kernel rejects it too."""
+    monkeypatch.setenv("REPRO_BACKEND", "bogus")
+    assert main([argv[0], cnf_file, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: unknown backend 'bogus'" in err
+
+
 def test_import_loads_only_what_it_uses():
     """``import repro`` imports its subpackages on first access, so the
     query path never loads networkx or the role-2/3 packages, while

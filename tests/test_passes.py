@@ -337,6 +337,34 @@ def test_store_gc_reaps_orphans_and_spares_live_files(tmp_path):
                                  optimize=True) is not None
 
 
+def test_store_variant_is_text_only_and_gc_reaps_old_csr_twins(tmp_path):
+    """A variant is its ``.opt-<sig>.nnf`` text (``load_variant``
+    parses nothing else); a ``.opt-<sig>.csr`` twin an older store
+    wrote is reaped as ``orphan_variant`` and the variant still
+    serves."""
+    cnf, _ = tseitin(pruned_formula(), num_vars=4)
+    store = ArtifactStore(str(tmp_path))
+    ticket = facade.compile_ticket(cnf.to_dimacs())
+    facade.compile_to_store(ticket, store)
+    report = facade.optimize_artifact(store, ticket.key,
+                                      aux_vars=cnf.aux_vars)
+    signature = report["signature"]
+    variant = store.path_for(ticket.key, f"opt-{signature}.nnf")
+    twin = store.path_for(ticket.key, f"opt-{signature}.csr")
+    assert variant.exists() and not twin.exists()
+    blob = b"an older store's variant twin"
+    twin.write_bytes(blob)
+    report = store.gc(now=0.0)
+    assert report["by_class"] == {
+        "orphan_variant": {"files": 1, "bytes": len(blob)}}
+    assert variant.exists() and not twin.exists()
+    ir, info = store.load_smallest(ticket.key)
+    assert info["signature"] == signature
+    assert facade.query_ir(ir, "count", num_vars=ticket.num_vars,
+                           forgotten=info["forgotten"])["result"] == \
+        formula_count(pruned_formula(), 4)
+
+
 def test_store_gc_reaps_generated_sources(tmp_path):
     """Stores written before evaluators were built in-process hold
     ``.gen.py`` sources under the circuit's IR digest, which the

@@ -451,15 +451,18 @@ class TestCliProof:
 class TestProofCheckTool:
     """``tools/proof_check.py`` counts an instance whose child exits
     REFUTED (5), INCOMPLETE (3), with a property violation (4) or
-    with no verdict at all as failed and goes on; a backend whose
-    first child fails without a verdict is an environment error that
-    stops the sweep."""
+    with no verdict at all, or whose queried count differs from the
+    proved one, as failed and goes on; a backend whose first child
+    fails without a verdict is an environment error that stops the
+    sweep."""
 
     @staticmethod
-    def tool(monkeypatch, exit_code):
+    def tool(monkeypatch, exit_code, query_mc=lambda n: 1):
         """The tool with ``run_cli`` stubbed: call ``n`` (from 1) on
-        ``backend`` exits ``exit_code(n, backend)``.  Returns the
-        module and the list of stubbed calls."""
+        ``backend`` exits ``exit_code(n, backend)``; ``compile`` and
+        ``check`` print ``s PROVED mc 1`` and ``query`` prints ``s mc
+        query_mc(n)`` (nothing when that is None).  Returns the module
+        and the list of stubbed calls."""
         path = os.path.join(REPO_ROOT, "tools", "proof_check.py")
         spec = importlib.util.spec_from_file_location("proof_check", path)
         module = importlib.util.module_from_spec(spec)
@@ -468,10 +471,15 @@ class TestProofCheckTool:
 
         def run_cli(args, backend):
             calls.append((backend, args[0]))
+            n = len(calls)
+            stdout = "s PROVED mc 1\n"
+            if args[0] == "query":
+                mc = query_mc(n)
+                stdout = "" if mc is None else f"s mc {mc}\n"
             return subprocess.CompletedProcess(
                 [sys.executable, "-m", "repro", *args],
-                exit_code(len(calls), backend), stdout="",
-                stderr=f"stderr of call {len(calls)}")
+                exit_code(n, backend), stdout=stdout,
+                stderr=f"stderr of call {n}")
         monkeypatch.setattr(module, "run_cli", run_cli)
         return module, calls
 
@@ -500,8 +508,35 @@ class TestProofCheckTool:
             monkeypatch, lambda n, backend: code if n == failing_call
             else 0)
         assert module.main(["--random", "0", "--backends", "codegen"]) == 1
-        assert len(calls) == 2 * len(module.EDGE_CASES)
+        assert len(calls) == 3 * len(module.EDGE_CASES)
         out = capsys.readouterr().out
         assert f"stderr of call {failing_call}" in out
         assert "proof check FAILED: 1 instance(s) not proved" in out
         assert "environment error" not in out
+
+    def test_every_instance_is_counted_on_its_backend(self, monkeypatch,
+                                                      capsys):
+        """Each instance runs compile, check, then a count query, on
+        every backend; agreeing counts pass."""
+        module, calls = self.tool(monkeypatch, lambda n, backend: 0)
+        assert module.main(["--random", "0"]) == 0
+        cases = len(module.EDGE_CASES)
+        assert calls == [(backend, child)
+                         for backend in ("codegen", "interp")
+                         for _ in range(cases)
+                         for child in ("compile", "check", "query")]
+        assert "proof check clean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("query_mc", [2, 0, None])
+    def test_query_count_that_disagrees_fails_the_instance(
+            self, monkeypatch, capsys, query_mc):
+        """The fourth instance's count query exits 0 but prints a
+        count other than the proved one (or none): that instance fails,
+        the others pass."""
+        module, _ = self.tool(
+            monkeypatch, lambda n, backend: 0,
+            query_mc=lambda n: query_mc if n == 12 else 1)
+        assert module.main(["--random", "0", "--backends", "interp"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL backend=interp instance=3 " in out
+        assert "proof check FAILED: 1 instance(s) not proved" in out

@@ -146,3 +146,14 @@ def test_counter_statistics_reset_between_runs():
     first_decisions = counter.decisions
     counter.count(cnf)
     assert counter.decisions == first_decisions
+
+
+def test_propagate_implied_is_gone():
+    """The from-scratch propagation wrapper had no caller once the
+    trail search replaced the clause-list search."""
+    import repro.sat
+    from repro.sat import propagation
+    assert not hasattr(propagation, "propagate_implied")
+    assert "propagate_implied" not in repro.sat.__all__
+    assert "propagate_implied" not in propagation.__all__
+

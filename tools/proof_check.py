@@ -12,7 +12,10 @@ fails the job.
 The corpus is compiled once per requested backend value so the job
 covers both ``REPRO_BACKEND=codegen`` and ``interp`` deployments; a
 second pass over a warm store additionally checks the memoised
-verdict still answers ``repro check --proof`` with exit 0.
+verdict still answers ``repro check --proof`` with exit 0, and
+``repro query --query count`` on the same store must print the proved
+model count: the query runs on the backend's evaluator, so an
+instance fails when that evaluator disagrees with the checker.
 
 A child that fails without a verdict (a crash, a usage error) fails
 its instance too.  When the first child of a backend does, ``repro``
@@ -74,6 +77,14 @@ def random_corpus(count: int, seed: int) -> list:
     return corpus
 
 
+def reported(stdout: str, prefix: str) -> "str | None":
+    """The rest of the first ``prefix`` line of a child's stdout."""
+    for line in stdout.splitlines():
+        if line.startswith(prefix):
+            return line[len(prefix):].strip()
+    return None
+
+
 def run_cli(args: list, backend: str) -> "subprocess.CompletedProcess":
     env = dict(os.environ)
     env["REPRO_BACKEND"] = backend
@@ -112,17 +123,27 @@ def main(argv=None) -> int:
                 rechecked = run_cli(
                     ["check", path, "--proof", "--cache-dir", cache],
                     backend)
+                queried = run_cli(
+                    ["query", path, "--query", "count",
+                     "--cache-dir", cache], backend)
+                proved_mc = reported(compiled.stdout, "s PROVED mc ")
+                query_mc = reported(queried.stdout, "s mc ")
                 ok = compiled.returncode == 0 and \
-                    rechecked.returncode == 0
+                    rechecked.returncode == 0 and \
+                    queried.returncode == 0 and \
+                    proved_mc is not None and query_mc == proved_mc
                 if not ok:
                     failures += 1
                     print(f"FAIL backend={backend} instance={index} "
                           f"compile_rc={compiled.returncode} "
-                          f"check_rc={rechecked.returncode}")
+                          f"check_rc={rechecked.returncode} "
+                          f"query_rc={queried.returncode} "
+                          f"proved_mc={proved_mc} query_mc={query_mc}")
                     print((compiled.stdout + compiled.stderr +
-                           rechecked.stdout + rechecked.stderr)[-2000:])
+                           rechecked.stdout + rechecked.stderr +
+                           queried.stdout + queried.stderr)[-2000:])
         print(f"backend={backend}: {len(corpus)} instances "
-              f"compiled + proof-checked")
+              f"compiled + proof-checked + counted")
     if failures:
         print(f"proof check FAILED: {failures} instance(s) not proved")
         return 1
