@@ -402,7 +402,7 @@ def _top(kernel: IrKernel, num_vars: Optional[int]) -> int:
     """The largest variable a weight map may name."""
     if num_vars is not None:
         return num_vars
-    return max(kernel.varsets[kernel.n - 1], default=0) if kernel.n else 0
+    return max(kernel.variables(), default=0)
 
 
 def _check_literal(lit: Any, top: int) -> None:
@@ -496,15 +496,14 @@ def _run_query(kernel: IrKernel, query: str, num_vars: Optional[int],
         # auto-smoothed (and re-certified) rather than served a
         # silently-wrong marginal; proved keeps its proof demand
         from ..analyze.gate import gate_mode, gate_scope
+        if scope is None:  # the kernel then keys both polarities
+            scope = kernel.variables()
         with gate_scope("proved" if gate_mode() == "proved"
                         else "repair"):
             counts = kernel.marginals(scope=scope)
             total = kernel.model_count(scope=scope)
-        variables = sorted(scope if scope is not None else
-                           {abs(lit) for lit in counts})
-        out["result"] = {
-            str(var): [counts.get(-var, 0), counts.get(var, 0)]
-            for var in variables}
+        out["result"] = {str(var): [counts[-var], counts[var]]
+                         for var in sorted(scope)}
         out["count"] = total
     return out
 

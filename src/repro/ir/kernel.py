@@ -64,8 +64,9 @@ from __future__ import annotations
 
 import operator
 from itertools import chain
-from typing import (Any, Callable, Collection, Dict, Iterable, Iterator,
-                    List, Mapping, NamedTuple, Optional, Sequence, Tuple)
+from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
+                    Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..limits.budget import resolve_budget
 from ..perf.instrument import Counter
@@ -289,14 +290,19 @@ class IrKernel:
             if batch is not None:
                 stats.incr("batch_columns", batch)
 
+    def variables(self) -> FrozenSet[int]:
+        """The variables the circuit mentions."""
+        return self.varsets[self.n - 1] if self.n else frozenset()
+
     def _root_gap(self, scope: Scope) -> Gap:
         """The root's gap: the ``scope`` variables the circuit never
         mentions, ascending (``()`` when ``scope`` is None).  A scope
         that misses a circuit variable raises ValueError."""
         if scope is None:
             return ()
-        variables = set(scope)
-        own = self.varsets[self.n - 1] if self.n else frozenset()
+        variables = scope if isinstance(scope, (set, frozenset)) \
+            else set(scope)
+        own = self.variables()
         if not own <= variables:
             raise ValueError(f"scope misses circuit variables "
                              f"{sorted(own - variables)}")
@@ -586,8 +592,10 @@ class IrKernel:
             return kernel.marginals(stats, scope=scope)
         gap = self._root_gap(scope)
         derivative = self.derivatives(stats)
+        # with a scope, a polarity no leaf carries reads 0 (no model
+        # holds it) instead of going missing
         result: Dict[int, int] = {} if scope is None else dict.fromkeys(
-            _literals(self.varsets[self.n - 1] if self.n else ()), 0)
+            _literals(self.variables()), 0)
         for i in range(self.n):
             if self.kinds[i] == KIND_LIT:
                 lit = self.lits[i]

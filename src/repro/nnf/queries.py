@@ -205,9 +205,9 @@ def marginal_counts(root: NnfNode,
     computed with the upward/downward differential passes of [23, 25] —
     all marginals in time linear in the circuit size.
     """
-    if variables is None:
-        variables = sorted(root.variables())
-    return get_kernel(root).marginals(stats, scope=variables)
+    kernel = get_kernel(root)
+    return kernel.marginals(stats, scope=kernel.variables()
+                            if variables is None else variables)
 
 
 def condition_evaluate(root: NnfNode, evidence: Mapping[int, bool],

@@ -206,7 +206,9 @@ def mpe(root: NnfNode, weights: Weights,
         variables: Sequence[int] | None = None
         ) -> Tuple[float, Dict[int, bool]]:
     """Most probable explanation on a d-DNNF: max-product upward pass
-    plus traceback.  Returns (max weight, maximising assignment)."""
+    plus traceback.  Returns (max weight, maximising assignment); each
+    of ``variables`` the circuit never mentions takes its heavier
+    literal."""
     if variables is None:
         variables = sorted(root.variables())
 
@@ -259,6 +261,9 @@ def mpe(root: NnfNode, weights: Weights,
                     assignment[abs(lit)] = lit > 0
                 stack.append(best_child)
     value = values[root.id]
+    if value == float("-inf"):
+        # unsatisfiable: no model for the unmentioned variables to extend
+        return value, assignment
     for var in variables:
         if var not in assignment:
             lit = best_literal(var)
@@ -270,7 +275,8 @@ def mpe(root: NnfNode, weights: Weights,
 def marginal_counts(root: NnfNode,
                     variables: Sequence[int] | None = None
                     ) -> Dict[int, int]:
-    """For each literal ℓ, the number of models containing ℓ.
+    """For each literal ℓ over ``variables`` (default: the circuit's),
+    the number of models over ``variables`` containing ℓ.
 
     Requires a *smooth* d-DNNF (see :func:`repro.nnf.transform.smooth`);
     computed with the upward/downward differential passes of [23, 25] —
@@ -317,17 +323,18 @@ def marginal_counts(root: NnfNode,
         if node.is_literal:
             result[node.literal] = result.get(node.literal, 0) + \
                 derivative[node.id]
-    total = counts[root.id]
     mentioned = root.variables()
+    # every model extends both ways over each unmentioned variable
+    shift = len(set(variables) - mentioned)
+    result = {lit: count << shift for lit, count in result.items()}
     for var in variables:
         if var in mentioned:
             # a polarity absent from a smooth circuit has no models
             result.setdefault(var, 0)
             result.setdefault(-var, 0)
         else:
-            # unmentioned variables: every model extends both ways
-            result.setdefault(var, total)
-            result.setdefault(-var, total)
+            # half of the widened models hold each of its literals
+            result[var] = result[-var] = counts[root.id] << (shift - 1)
     return result
 
 

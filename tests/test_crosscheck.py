@@ -27,6 +27,7 @@ from repro.compile.dnnf_compiler import DnnfCompiler
 from repro.limits import Budget, anytime_count
 from repro.logic.cnf import Cnf
 from repro.nnf import queries, queries_legacy
+from repro.nnf.transform import smooth
 from repro.perf import Counter
 from repro.sat import ModelCounter, solve, unit_propagate
 from repro.sat.dpll import solve_legacy, unit_propagate_legacy
@@ -115,11 +116,21 @@ def test_kernel_queries_match_legacy_queries(cnf, rng):
     fast = queries.weighted_model_count(root, weights, full)
     slow = queries_legacy.weighted_model_count(root, weights, full)
     assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
-    fast_mpe = queries.mpe(root, weights, full)
-    slow_mpe = queries_legacy.mpe(root, weights, full)
-    # both report -inf on unsatisfiable circuits; -inf - -inf is nan
-    assert fast_mpe[0] == slow_mpe[0] or \
-        abs(fast_mpe[0] - slow_mpe[0]) <= 1e-9 * max(1.0, slow_mpe[0])
+    # two variables past the header: wider than any compiled circuit
+    wider = range(1, cnf.num_vars + 3)
+    for var in wider[cnf.num_vars:]:
+        weights[var], weights[-var] = 0.25, 0.75
+    for scope in (full, wider):
+        fast_mpe = queries.mpe(root, weights, scope)
+        slow_mpe = queries_legacy.mpe(root, weights, scope)
+        # both report -inf on unsatisfiable circuits; -inf - -inf is nan
+        assert fast_mpe[0] == slow_mpe[0] or \
+            abs(fast_mpe[0] - slow_mpe[0]) <= 1e-9 * max(1.0, slow_mpe[0])
+        assert set(fast_mpe[1]) == set(slow_mpe[1])
+    smoothed = smooth(root)
+    for scope in (None, full, wider):
+        assert queries.marginal_counts(smoothed, scope) == \
+            queries_legacy.marginal_counts(smoothed, scope)
 
 
 def test_kernel_memo_survives_conditioning():
@@ -128,7 +139,6 @@ def test_kernel_memo_survives_conditioning():
     cnf = Cnf([(1, 2, 3), (-1, 2), (-2, 4), (3, -4), (1, -3, 4)],
               num_vars=4)
     root = DnnfCompiler().compile(cnf)
-    from repro.nnf.transform import smooth
     smoothed = smooth(root)
     weights = {v: 0.5 for v in range(1, 5)}
     weights.update({-v: 0.5 for v in range(1, 5)})

@@ -500,10 +500,13 @@ class TestProofCheckTool:
         assert "environment error" in out
         assert "FAILED" not in out
 
-    @pytest.mark.parametrize("failing_call", [2, 3])
+    @pytest.mark.parametrize("failing_call", [2, 3, 4])
     @pytest.mark.parametrize("code", [5, 3, 4, 1])
     def test_instance_failure_is_counted(self, monkeypatch, capsys,
                                          failing_call, code):
+        """Calls 2, 3 and 4 are instance 0's check and query and
+        instance 1's compile: past the first child, a failure with or
+        without a verdict fails its instance and the sweep goes on."""
         module, calls = self.tool(
             monkeypatch, lambda n, backend: code if n == failing_call
             else 0)

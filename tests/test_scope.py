@@ -366,6 +366,10 @@ def test_scope_none_keeps_the_circuits_own_answers():
     assert kernel.model_count() == 1
     assert kernel.marginals() == {1: 1}
     assert kernel.marginals(scope=[1]) == {-1: 0, 1: 1}
+    # without num_vars the facade's marginals range over the circuit's
+    # own variables, and name both polarities of each
+    assert facade.query_ir(ir, "marginals") == \
+        {"query": "marginals", "result": {"1": [0, 1]}, "count": 1}
     assert kernel.mpe({1: 2.0, -1: 5.0, 2: 3.0, -2: 3.0}) == (2.0, {1: True})
     # a tie goes to the positive literal, as in the traceback
     assert kernel.mpe({1: 2.0, -1: 5.0, 2: 3.0, -2: 3.0}, scope=[1, 2]) \
