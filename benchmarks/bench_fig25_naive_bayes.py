@@ -8,7 +8,7 @@ how the compiled graph tracks the decision boundary.
 
 from repro.classifiers import (PREGNANCY_FEATURES, compile_naive_bayes,
                                pregnancy_classifier)
-from repro.explain import all_sufficient_reasons
+from repro.explain import sufficient_reasons
 from repro.logic import iter_assignments
 
 NAMES = {v: k for k, v in PREGNANCY_FEATURES.items()}
@@ -26,7 +26,9 @@ def _compile_and_check():
         rows.append((tuple(int(a[v]) for v in (1, 2, 3)),
                      classifier.posterior(a), decision, compiled))
     susan = {1: True, 2: True, 3: True}
-    reasons = all_sufficient_reasons(circuit, susan)
+    # an OBDD is a Decision-DNNF: the IR enumerator explains it
+    reasons = [frozenset(r) for r in
+               sufficient_reasons(circuit.to_ir(), susan)["reasons"]]
     sweep = []
     for threshold in (0.3, 0.5, 0.7, 0.9, 0.99):
         clf = pregnancy_classifier(threshold)

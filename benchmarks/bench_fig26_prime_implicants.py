@@ -4,10 +4,14 @@ Regenerates the figure exactly: the prime implicants of
 f = (A + ¬C)(B + C)(A + B) and of its complement, the sufficient
 reasons of the positive instance A,B,¬C (AB and B¬C) and of the
 negative instance ¬A,B,C (the single reason ¬A∧C).
+
+The reasons come from the IR enumerator on the lowered OBDD (on its
+complement for the negative decision) and are checked against the
+figure's own reading: the prime implicants of f (of ~f) that are
+consistent with the instance.
 """
 
-from repro.explain import all_sufficient_reasons, reason_circuit, \
-    reason_prime_implicants
+from repro.explain import sufficient_reasons
 from repro.logic import (Not, VarMap, parse,
                          prime_implicants_of_formula)
 from repro.obdd import ObddManager, compile_formula
@@ -26,17 +30,28 @@ def _analyse():
     neg_pis = prime_implicants_of_formula(Not(f), sorted(f.variables()))
     positive_instance = {a: True, b: True, c: False}
     negative_instance = {a: False, b: True, c: True}
-    pos_reasons = all_sufficient_reasons(node, positive_instance)
-    neg_reasons = all_sufficient_reasons(node, negative_instance)
-    pos_circuit_pis = reason_prime_implicants(
-        reason_circuit(node, positive_instance))
-    return (vm, pis, neg_pis, pos_reasons, neg_reasons,
-            pos_circuit_pis, (a, b, c))
+    pos_reasons = _reasons(node.to_ir(), positive_instance)
+    neg_reasons = _reasons(manager.negate(node).to_ir(), negative_instance)
+    pos_consistent = _consistent(pis, positive_instance)
+    neg_consistent = _consistent(neg_pis, negative_instance)
+    return (vm, pis, neg_pis, pos_reasons, neg_reasons, pos_consistent,
+            neg_consistent, (a, b, c))
+
+
+def _reasons(ir, instance):
+    return [frozenset(r) for r in sufficient_reasons(ir, instance)["reasons"]]
+
+
+def _consistent(implicants, instance):
+    """The implicants made of instance literals, in reason order."""
+    held = {v if value else -v for v, value in instance.items()}
+    return sorted((p for p in implicants if p <= held),
+                  key=lambda t: (len(t), sorted(t, key=abs)))
 
 
 def test_fig26_prime_implicants(benchmark, table):
-    (vm, pis, neg_pis, pos_reasons, neg_reasons, pos_circuit_pis,
-     (a, b, c)) = benchmark(_analyse)
+    (vm, pis, neg_pis, pos_reasons, neg_reasons, pos_consistent,
+     neg_consistent, (a, b, c)) = benchmark(_analyse)
 
     def pretty(term):
         return "".join(("" if l > 0 else "~") + vm.name(abs(l))
@@ -47,10 +62,12 @@ def test_fig26_prime_implicants(benchmark, table):
            ["prime implicants of ~f", ", ".join(map(pretty, neg_pis))]])
     table("instance A,B,~C (decision 1)",
           [["sufficient reasons", ", ".join(map(pretty, pos_reasons))],
-           ["via reason circuit", ", ".join(map(pretty,
-                                                pos_circuit_pis))]])
+           ["consistent prime implicants",
+            ", ".join(map(pretty, pos_consistent))]])
     table("instance ~A,B,C (decision 0)",
-          [["sufficient reasons", ", ".join(map(pretty, neg_reasons))]])
+          [["sufficient reasons", ", ".join(map(pretty, neg_reasons))],
+           ["consistent prime implicants",
+            ", ".join(map(pretty, neg_consistent))]])
 
     assert set(pis) == {frozenset({a, b}), frozenset({a, c}),
                         frozenset({b, -c})}
@@ -60,4 +77,7 @@ def test_fig26_prime_implicants(benchmark, table):
     assert set(pos_reasons) == {frozenset({a, b}), frozenset({b, -c})}
     # paper: exactly one reason, ~A C, for the negative instance
     assert neg_reasons == [frozenset({-a, c})]
-    assert set(pos_circuit_pis) == set(pos_reasons)
+    # two computations agree: the enumerator on the circuit, and the
+    # prime implicants of f / ~f restricted to the instance's literals
+    assert pos_reasons == pos_consistent
+    assert neg_reasons == neg_consistent

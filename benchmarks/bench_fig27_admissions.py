@@ -4,18 +4,25 @@ Regenerates the figure's analysis structure: Robin is admitted with
 sufficient reasons of which some but not all touch the protected
 feature (decision unbiased, classifier biased); Scott is admitted with
 every reason touching it (decision biased — flipping R alone reverses
-it); both complete-reason circuits are built and verified monotone.
+it); both complete-reason circuits are built and checked against the
+reasons (a term triggers the circuit iff it contains a reason).
+
+Everything runs on the IR route (``node.to_ir()``): the reasons and
+the complete-reason graph from the enumerator, the direct bias verdict
+from one batched sufficiency check.  Whether the *classifier* is biased
+is read off the reduced OBDD: it depends on a protected feature.
 
 The paper's exact OBDD is not recoverable from the text, so reason
 *counts* may differ from the figure; the bias verdicts and circuit
 properties are the reproduced content (see EXPERIMENTS.md).
 """
 
+from itertools import chain, combinations
+
 from repro.classifiers import (ADMISSIONS_FEATURES,
                                admissions_classifier)
-from repro.explain import (all_sufficient_reasons, bias_from_reasons,
-                           classifier_is_biased, decision_is_biased,
-                           reason_circuit, reason_prime_implicants)
+from repro.explain import (decision_is_biased, reason_graph,
+                           sufficient_reasons)
 
 NAMES = {v: k for k, v in ADMISSIONS_FEATURES.items()}
 PROTECTED = [ADMISSIONS_FEATURES["R"]]
@@ -24,23 +31,36 @@ ROBIN = {1: True, 2: True, 3: True, 4: True, 5: True}
 SCOTT = {1: False, 2: True, 3: True, 4: False, 5: True}
 
 
+def _subsets(term):
+    return chain.from_iterable(combinations(term, size)
+                               for size in range(len(term) + 1))
+
+
 def _audit():
     manager, node = admissions_classifier()
+    ir = node.to_ir()
     results = {}
     for name, instance in (("Robin", ROBIN), ("Scott", SCOTT)):
-        reasons = all_sufficient_reasons(node, instance)
-        circuit = reason_circuit(node, instance)
+        reasons = [frozenset(r) for r in
+                   sufficient_reasons(ir, instance)["reasons"]]
+        touching = [any(abs(l) in PROTECTED for l in r) for r in reasons]
+        graph = reason_graph(ir, instance)
         results[name] = {
             "decision": node.evaluate(instance),
             "reasons": reasons,
-            "touching": [any(abs(l) in PROTECTED for l in r)
-                         for r in reasons],
-            "direct_bias": decision_is_biased(node, instance, PROTECTED),
-            "reason_bias": bias_from_reasons(node, instance, PROTECTED),
-            "circuit_nodes": circuit.node_count(),
-            "circuit_pis": reason_prime_implicants(circuit),
+            "touching": touching,
+            "direct_bias": decision_is_biased(ir, instance, PROTECTED),
+            # the reason criterion: every sufficient reason touches a
+            # protected feature
+            "reason_bias": bool(touching) and all(touching),
+            "circuit_nodes": graph.size,
+            "circuit_is_complete_reason": all(
+                graph.evaluate(set(term)) ==
+                any(r <= set(term) for r in reasons)
+                for term in _subsets(graph.term)),
         }
-    results["classifier_biased"] = classifier_is_biased(node, PROTECTED)
+    results["classifier_biased"] = any(v in node.variables()
+                                       for v in PROTECTED)
     return results
 
 
@@ -72,13 +92,12 @@ def test_fig27_admissions(benchmark, table):
     # classifier provably biased
     assert any(robin["touching"]) and not all(robin["touching"])
     assert not robin["direct_bias"]
-    assert robin["reason_bias"]["classifier_biased_witness"]
     # Scott: every reason touches R -> decision biased
     assert all(scott["touching"])
     assert scott["direct_bias"]
     # the theorem: reason-based and direct bias verdicts agree
     for r in (robin, scott):
-        assert r["reason_bias"]["decision_biased"] == r["direct_bias"]
-        # reason circuits reproduce the sufficient reasons exactly
-        assert set(r["circuit_pis"]) == set(r["reasons"])
+        assert r["reason_bias"] == r["direct_bias"]
+        # the complete-reason circuit is the disjunction of the reasons
+        assert r["circuit_is_complete_reason"]
     assert results["classifier_biased"]

@@ -11,7 +11,7 @@ one process against its baseline:
 * ``dnnf_compile`` — CNF→Decision-DNNF compilation, its circuit's
   count checked against ``ModelCounter``;
 * ``repeated_wmc`` — many weighted model counts on one compiled
-  circuit: dense-array kernel (:mod:`repro.nnf.kernel`) vs the seed
+  circuit: dense-array kernel (:class:`repro.ir.kernel.IrKernel`) vs the seed
   recursive queries (:mod:`repro.nnf.queries_legacy`);
 * ``batched_wmc`` — the same many-query load answered by **one**
   batched numpy pass (``weighted_model_count_batch``) vs the scalar
@@ -582,7 +582,7 @@ def scenario_codegen_kernel(quick: bool):
     reps = 5 if quick else 25
     cnf = random_3cnf(n, m, seed)
     root = DnnfCompiler().compile(cnf)
-    from repro.nnf.kernel import get_kernel
+    from repro.nnf.queries import get_kernel
     kernel = get_kernel(root)
     rng = random.Random(1)
     weight_vectors = []

@@ -9,7 +9,7 @@ from repro.nnf import model_count, weighted_model_count
 from repro.sdd import compile_cnf_sdd
 from repro.psdd import learn_parameters, marginal, psdd_from_sdd
 from repro.classifiers import compile_naive_bayes, pregnancy_classifier
-from repro.explain import all_sufficient_reasons
+from repro.explain import sufficient_reasons
 from repro.robust import decision_robustness
 
 
@@ -70,7 +70,8 @@ def role_3_meta_reasoning():
     susan = {1: True, 2: True, 3: True}
     print(f"posterior for Susan: {classifier.posterior(susan):.3f} "
           f"-> decision {classifier.decide(susan)}")
-    reasons = all_sufficient_reasons(circuit, susan)
+    # the compiled OBDD is a Decision-DNNF: explain it on the IR
+    reasons = sufficient_reasons(circuit.to_ir(), susan)["reasons"]
     names = {1: "B", 2: "U", 3: "S"}
 
     def pretty(term):

@@ -14,8 +14,7 @@ import random
 from repro.classifiers import (BinarizedNeuralNetwork, compile_bnn,
                                digit_dataset, digit_template,
                                render_image)
-from repro.explain import (minimal_sufficient_reason,
-                           smallest_sufficient_reason)
+from repro.explain import sufficient_reasons
 from repro.obdd import model_count
 from repro.robust import decision_robustness, robustness_summary
 
@@ -43,8 +42,12 @@ def main():
     assert circuit.evaluate(image) == network.forward(image)
     print("a clean digit-0 image:")
     print(render_image(image, SIZE))
-    reason = smallest_sufficient_reason(circuit, image, max_size=4) or \
-        minimal_sufficient_reason(circuit, image)
+    # an OBDD is a Decision-DNNF: enumerate every sufficient reason on
+    # its IR (on the complement's for a negative decision), smallest first
+    trigger = circuit if circuit.evaluate(image) else \
+        circuit.manager.negate(circuit)
+    reason = sufficient_reasons(trigger.to_ir(), image,
+                                smallest=True)["smallest"]
     print(f"\nsmallest sufficient reason uses {len(reason)} of "
           f"{SIZE * SIZE} pixels (paper's Fig 28: 3 of 256):")
     highlight = {v: False for v in image}

@@ -1,33 +1,19 @@
-"""Explaining decisions: sufficient reasons, reason circuits, bias,
-counterfactuals (Section 5.1)."""
+"""Explaining decisions (Section 5.1, Figs 25–28): sufficient reasons,
+the complete reason, necessary characteristics, decision bias and
+"even if … because" counterfactuals, all on the Decision-DNNF IR
+(:mod:`repro.explain.implicants`).  An OBDD explains through
+``node.to_ir()``; a negative decision through its complement."""
 
-from .sufficient import (all_sufficient_reasons, decision_and_function,
-                         is_sufficient_reason, minimal_sufficient_reason,
-                         smallest_sufficient_reason)
-from .reason_circuit import (reason_circuit, reason_circuit_ddnnf,
-                             reason_implies, reason_prime_implicants)
-from .bias import bias_from_reasons, classifier_is_biased, \
-    decision_is_biased
-from .counterfactual import (decision_sticks, decision_sticks_batch,
-                             verify_even_if_because)
-from .necessary import is_necessary, necessary_characteristics
 from .implicants import (CountOracle, ReasonGraph,
                          check_necessary_batch, check_sufficient_batch,
-                         count_oracle, iter_sufficient_reasons,
+                         count_oracle, decision_is_biased,
+                         decision_sticks_batch, iter_sufficient_reasons,
                          necessary_literals, reason_graph,
-                         sufficient_reasons)
+                         sufficient_reasons, verify_even_if_because)
 
-__all__ = ["all_sufficient_reasons", "decision_and_function",
-           "is_sufficient_reason", "minimal_sufficient_reason",
-           "smallest_sufficient_reason", "reason_circuit",
-           "reason_circuit_ddnnf", "reason_implies",
-           "reason_prime_implicants",
-           "bias_from_reasons", "classifier_is_biased",
-           "decision_is_biased", "decision_sticks",
-           "decision_sticks_batch",
-           "verify_even_if_because", "is_necessary",
-           "necessary_characteristics",
-           "ReasonGraph", "CountOracle", "reason_graph",
+__all__ = ["ReasonGraph", "CountOracle", "reason_graph",
            "count_oracle", "iter_sufficient_reasons",
            "sufficient_reasons", "necessary_literals",
-           "check_sufficient_batch", "check_necessary_batch"]
+           "check_sufficient_batch", "check_necessary_batch",
+           "decision_is_biased", "decision_sticks_batch",
+           "verify_even_if_because"]

@@ -2,15 +2,13 @@
 
 Role 3 at production scale (Section 5.1; de Colnet & Marquis 2023,
 "On the Complexity of Enumerating Prime Implicants from Decision-DNNF
-Circuits"): the OBDD routines of :mod:`repro.explain.sufficient` are
-exact but walk a canonical diagram the compiler never produces at
-scale.  This engine works directly on compiled Decision-DNNF
-:class:`~repro.ir.core.CircuitIR` — no OBDD detour:
+Circuits").  The engine works directly on
+:class:`~repro.ir.core.CircuitIR` — compiler output and lowered OBDDs
+alike, since an OBDD is a Decision-DNNF (``node.to_ir()``):
 
 * :func:`reason_graph` builds the complete-reason circuit of a
   decision (Darwiche & Hirth) as a lightweight monotone DAG in one
-  linear pass over the IR arrays (the Decision-DNNF analogue of
-  :func:`repro.explain.reason_circuit.reason_circuit`);
+  linear pass over the IR arrays;
 * :func:`iter_sufficient_reasons` enumerates the sufficient reasons —
   the prime implicants of that monotone DAG — with a minimal-hitting
   successor scheme: each probe greedily shrinks the instance term
@@ -32,14 +30,22 @@ scale.  This engine works directly on compiled Decision-DNNF
   interface, so the successor scheme runs unchanged;
 * :func:`check_sufficient_batch` / :func:`check_necessary_batch`
   answer "is this term why instance j was classified X" for whole
-  datasets in two :class:`~repro.ir.kernel.IrKernel` numpy passes
-  (the Fig-28 ``decision_sticks_batch`` template): one
-  ``evaluate_batch`` for the decisions, one 0/1-weight ``wmc_batch``
-  whose column ``j`` counts the models of ``f`` consistent with term
-  ``j`` — the term is sufficient iff that count is ``2^free`` for a
-  positive decision and ``0`` for a negative one.
+  datasets in two :class:`~repro.ir.kernel.IrKernel` numpy passes:
+  one ``evaluate_batch`` for the decisions, one 0/1-weight
+  ``wmc_batch`` whose column ``j`` counts the models of ``f``
+  consistent with term ``j`` — the term is sufficient iff that count
+  is ``2^free`` for a positive decision and ``0`` for a negative one;
+* :func:`decision_is_biased`, :func:`decision_sticks_batch` and
+  :func:`verify_even_if_because` (Fig 27's bias and the "even if …
+  because" counterfactuals) reduce to those two passes.
 
-Every entry point runs behind the Fig-13 query gate
+Enumeration, the reason graph and necessity explain a *positive*
+decision; a negative decision is explained on the complement circuit
+(for an OBDD, ``manager.negate(node).to_ir()``).  The batched checks,
+bias and counterfactuals answer both decisions on the circuit itself.
+
+Every entry point except the plain evaluation of
+:func:`decision_sticks_batch` runs behind the Fig-13 query gate
 (:func:`repro.analyze.gate.check_kernel`, query ``"explain"``:
 certified decomposability + determinism), and ``forgotten`` Tseitin
 auxiliaries (:mod:`repro.ir.passes`) are excluded throughout — an
@@ -62,7 +68,9 @@ from ..perf.instrument import Counter
 __all__ = ["ReasonGraph", "CountOracle", "reason_graph",
            "count_oracle", "iter_sufficient_reasons",
            "sufficient_reasons", "necessary_literals",
-           "check_sufficient_batch", "check_necessary_batch"]
+           "check_sufficient_batch", "check_necessary_batch",
+           "decision_is_biased", "decision_sticks_batch",
+           "verify_even_if_because"]
 
 Term = FrozenSet[int]
 
@@ -176,6 +184,13 @@ class CountOracle:
         return count == float(2 ** (self._n_vars - len(members)))
 
 
+def _is_instance_literal(instance: Mapping[int, bool], lit: int) -> bool:
+    """Is ``lit`` one of the instance's literals?  False for a flipped
+    polarity and for a variable the instance does not assign."""
+    value = instance.get(abs(lit))
+    return value is not None and bool(value) == (lit > 0)
+
+
 def _gated_kernel(ir: CircuitIR) -> IrKernel:
     """The kernel behind the Fig-13 gate: ``"explain"`` requires
     certified decomposability + determinism (strict/repair modes)."""
@@ -197,6 +212,17 @@ def _mentioned_vars(kernel: IrKernel,
         raise ValueError(
             f"forgotten variables {leaked} still appear in the "
             "circuit; explain the base artifact instead")
+    return mentioned
+
+
+def _assigned_vars(kernel: IrKernel, instance: Mapping[int, bool],
+                   forgotten: Iterable[int]) -> List[int]:
+    """:func:`_mentioned_vars`, each of which the instance must assign."""
+    mentioned = _mentioned_vars(kernel, forgotten)
+    missing = [v for v in mentioned if v not in instance]
+    if missing:
+        raise ValueError(
+            f"instance does not assign circuit variables {missing}")
     return mentioned
 
 
@@ -238,18 +264,13 @@ def reason_graph(ir: CircuitIR, instance: Mapping[int, bool], *,
     parameterised circuit, an instance missing circuit variables, a
     circuit still mentioning forgotten variables, or a negative
     decision (sufficient reasons of a negative decision are prime
-    implicants of the *complement* — compile it and explain on that,
-    exactly like :func:`~.reason_circuit.reason_circuit_ddnnf`).
+    implicants of the *complement* — compile it and explain on that).
 
     The build charges the (explicit or ambient) budget one pass but
     always completes — enumeration is where expiry bites.
     """
     kernel = _gated_kernel(ir)
-    mentioned = _mentioned_vars(kernel, forgotten)
-    missing = [v for v in mentioned if v not in instance]
-    if missing:
-        raise ValueError(
-            f"instance does not assign circuit variables {missing}")
+    _assigned_vars(kernel, instance, forgotten)
     budget = resolve_budget(budget)
     if budget is not None:
         budget.charge(kernel.n)
@@ -388,11 +409,7 @@ def count_oracle(ir: CircuitIR, instance: Mapping[int, bool], *,
     charges the budget one pass and always completes.
     """
     kernel = _gated_kernel(ir)
-    mentioned = _mentioned_vars(kernel, forgotten)
-    missing = [v for v in mentioned if v not in instance]
-    if missing:
-        raise ValueError(
-            f"instance does not assign circuit variables {missing}")
+    mentioned = _assigned_vars(kernel, instance, forgotten)
     if any(kernel.kinds[i] == KIND_PARAM for i in range(kernel.n)):
         raise ValueError(
             "explain does not support parameterised circuits")
@@ -599,7 +616,7 @@ def necessary_literals(ir: CircuitIR, instance: Mapping[int, bool], *,
     return necessary
 
 
-# -- batched dataset checks (the Fig-28 template) ------------------------------
+# -- batched dataset checks ---------------------------------------------------
 def check_sufficient_batch(ir: CircuitIR,
                            instances: Sequence[Mapping[int, bool]],
                            terms: Sequence[Sequence[int]], *,
@@ -621,8 +638,7 @@ def check_sufficient_batch(ir: CircuitIR,
 
     A term containing a non-instance literal (flipped polarity *or*
     a variable the instance does not mention) is simply not
-    sufficient — consistent with
-    :func:`repro.explain.sufficient.is_sufficient_reason`.
+    sufficient.
     """
     from ..analyze.gate import gate_scope
     import numpy as np
@@ -647,10 +663,7 @@ def check_sufficient_batch(ir: CircuitIR,
     term_ok = np.ones(size, dtype=bool)
     free = np.full(size, len(mentioned), dtype=float)
     for j, (inst, term) in enumerate(zip(instances, term_sets)):
-        for lit in term:
-            value = inst.get(abs(lit))
-            if value is None or bool(value) != (lit > 0):
-                term_ok[j] = False
+        term_ok[j] = all(_is_instance_literal(inst, lit) for lit in term)
         free[j] -= sum(1 for v in mentioned
                        if v in term or -v in term)
 
@@ -711,9 +724,7 @@ def check_necessary_batch(ir: CircuitIR,
     is_instance_lit: List[bool] = []
     for inst, literal in zip(instances, literals):
         literal = int(literal)
-        value = inst.get(abs(literal))
-        is_instance_lit.append(value is not None
-                               and bool(value) == (literal > 0))
+        is_instance_lit.append(_is_instance_literal(inst, literal))
         terms.append([v if inst.get(v) else -v for v in mentioned
                       if v in inst and (v if inst[v] else -v) != literal])
     rest_sufficient = check_sufficient_batch(
@@ -721,3 +732,73 @@ def check_necessary_batch(ir: CircuitIR,
         stats=stats)
     return [ok and not rest
             for ok, rest in zip(is_instance_lit, rest_sufficient)]
+
+
+# -- bias and counterfactuals (Fig 27; Section 5.1) ---------------------------
+def decision_is_biased(ir: CircuitIR, instance: Mapping[int, bool],
+                       protected: Iterable[int]) -> bool:
+    """Would changing only protected features flip this decision?
+
+    A decision is unbiased exactly when the instance's unprotected
+    literals alone fix it, so this is one :func:`check_sufficient_batch`
+    on that term — for a positive or a negative decision alike.  (A
+    *classifier* is biased iff its function depends on a protected
+    variable: on a reduced OBDD that is ``node.variables()``.)
+    """
+    skip = frozenset(int(v) for v in protected)
+    term = [v if value else -v for v, value in sorted(instance.items())
+            if v not in skip]
+    return not check_sufficient_batch(ir, [instance], [term])[0]
+
+
+def decision_sticks_batch(ir: CircuitIR, instance: Mapping[int, bool],
+                          flip_sets: Sequence[Iterable[int]]
+                          ) -> List[bool]:
+    """Entry ``j``: does the decision on ``instance`` survive flipping
+    the features in ``flip_sets[j]``?
+
+    One ``evaluate_batch`` answers every probe (e.g. Fig 28's
+    per-pixel sweep): column ``j`` is the instance with ``flip_sets[j]``
+    flipped, and a last column holds the instance itself.
+    """
+    import numpy as np
+    flips = [frozenset(int(v) for v in chosen) for chosen in flip_sets]
+    if not flips:
+        return []
+    kernel = ir_kernel(ir)
+    mentioned = _assigned_vars(kernel, instance, ())
+    if not mentioned:  # a constant decision survives every flip
+        return [True] * len(flips)
+    columns = {v: np.array([(v in chosen) != bool(instance[v])
+                            for chosen in flips] + [bool(instance[v])])
+               for v in mentioned}
+    values = kernel.evaluate_batch(columns)
+    baseline = bool(values[-1])
+    return [bool(value) == baseline for value in values[:-1]]
+
+
+def verify_even_if_because(ir: CircuitIR, instance: Mapping[int, bool],
+                           flipped: Iterable[int],
+                           because: Sequence[int]) -> Dict[str, bool]:
+    """Check an "even if … because …" statement ([33]; the paper's
+    April: the decision would stick *even if* she had no work
+    experience *because* she passed the entrance exam).
+
+    ``because`` is a term of literals.  The statement is *valid* when
+    the term consists of instance literals, avoids the flipped
+    features, and is sufficient for the decision — which entails the
+    decision sticks under *any* change to the flipped features (not
+    just the single flip that ``sticks`` reports).
+    """
+    flipped = [int(v) for v in flipped]
+    because = [int(lit) for lit in because]
+    term_ok = all(_is_instance_literal(instance, lit) for lit in because)
+    disjoint = all(abs(lit) not in flipped for lit in because)
+    sufficient = check_sufficient_batch(ir, [instance], [because])[0]
+    return {
+        "sticks": decision_sticks_batch(ir, instance, [flipped])[0],
+        "because_is_instance_term": term_ok,
+        "because_avoids_flipped": disjoint,
+        "because_is_sufficient": sufficient,
+        "valid": term_ok and disjoint and sufficient,
+    }

@@ -32,7 +32,7 @@ __all__ = ["CircuitIR", "IrBuilder", "KIND_LIT", "KIND_TRUE",
            "FLAG_DECOMPOSABLE", "FLAG_DETERMINISTIC", "FLAG_SMOOTH",
            "FLAG_STRUCTURED"]
 
-# node kind codes (shared with repro.nnf.kernel for compatibility)
+# node kind codes
 KIND_LIT = 0
 KIND_TRUE = 1
 KIND_FALSE = 2

@@ -8,8 +8,8 @@ no proper subset of ``t`` is an implicant.
 These are the objects underlying sufficient reasons / PI-explanations
 (Section 5.1 of the paper, Fig 26).  Quine–McCluskey enumerates over the
 truth table, so it is intended for functions of modest arity; the
-instance-directed routines in :mod:`repro.explain.sufficient` scale
-further by querying circuits instead.
+instance-directed enumerator in :mod:`repro.explain` scales further by
+querying circuits instead.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ the listed variables the circuit never mentions, and raises
 The caller is responsible for the circuit actually having the stated
 property; :mod:`repro.nnf.properties` provides checkers.
 
-All single-pass queries run on the dense-array engine of
-:mod:`repro.nnf.kernel`: the kernel is built once per circuit (cached
-on its manager) and repeated queries reuse its precomputed topological
+All single-pass queries run on the one
+:class:`~repro.ir.kernel.IrKernel` of the root's interned IR
+(:func:`get_kernel`): the kernel is built once per circuit (cached on
+its manager) and repeated queries reuse its precomputed topological
 order and or-gate gap data.  The seed's dict-per-call implementations
 survive in :mod:`repro.nnf.queries_legacy` as the benchmark baseline
 and cross-check reference.  Each query takes an optional ``stats``
@@ -26,17 +27,40 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..ir.kernel import (IrKernel, ir_kernel, pack_assignment_batch,
+                         pack_weight_batch)
+from ..ir.lower import nnf_to_ir
 from ..perf.instrument import Counter
-from .kernel import get_kernel, pack_assignment_batch, pack_weight_batch
 from .node import NnfNode
 
-__all__ = ["is_satisfiable_dnnf", "sat_model_dnnf", "model_count",
-           "weighted_model_count", "weighted_model_count_batch",
+__all__ = ["get_kernel", "is_satisfiable_dnnf", "sat_model_dnnf",
+           "model_count", "weighted_model_count",
+           "weighted_model_count_batch",
            "weighted_model_count_log_batch", "evaluate_batch",
            "enumerate_models", "mpe", "marginal_counts",
            "condition_evaluate"]
 
 Weights = Mapping[int, float]
+
+
+def get_kernel(root: NnfNode) -> IrKernel:
+    """The (cached) kernel for ``root``: ``ir_kernel(nnf_to_ir(root))``.
+
+    Memoised on the root's manager keyed by node id, so a repeated
+    query skips the lowering; nodes are immutable and hash-consed, so
+    a cached kernel never goes stale even as the manager keeps
+    growing.  Structurally identical circuits intern to one IR, so
+    every route to it (other managers, the facade, the query gate)
+    shares one kernel and its memoised results.
+    """
+    manager = root.manager
+    cache = getattr(manager, "_kernel_cache", None)
+    if cache is None:
+        cache = manager._kernel_cache = {}
+    kernel = cache.get(root.id)
+    if kernel is None:
+        kernel = cache[root.id] = ir_kernel(nnf_to_ir(root))
+    return kernel
 
 
 def is_satisfiable_dnnf(root: NnfNode,
@@ -90,7 +114,7 @@ def weighted_model_count_batch(root: NnfNode, weights,
 
     ``weights`` is either a sequence of N literal→weight maps or an
     already-packed literal → length-N array mapping
-    (:func:`repro.nnf.kernel.pack_weight_batch`).  Column ``j`` of the
+    (:func:`repro.ir.kernel.pack_weight_batch`).  Column ``j`` of the
     returned array equals ``weighted_model_count`` of weight vector
     ``j``; ``variables`` widens over absent variables exactly like the
     scalar query.

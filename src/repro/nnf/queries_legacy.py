@@ -3,7 +3,7 @@
 These are the seed's dict-per-call traversals, kept verbatim as
 
 * the baseline the ``repro.perf`` benchmarks measure the
-  :mod:`repro.nnf.kernel` speedups against, and
+  :class:`~repro.ir.kernel.IrKernel` speedups against, and
 * the reference the property-based cross-check suite compares the
   kernel results to.
 

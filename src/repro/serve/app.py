@@ -268,7 +268,6 @@ class Server:
                     status, reply = 500, {
                         "status": "error",
                         "error": f"{type(error).__name__}: {error}"}
-                self.stats.incr(f"http_{status // 100}xx")
                 await self._respond(writer, status, reply,
                                     close=not keep_alive)
                 if not keep_alive:
@@ -289,7 +288,17 @@ class Server:
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        reply: Dict[str, Any], close: bool) -> None:
-        payload = json.dumps(reply).encode("utf-8")
+        try:
+            payload = json.dumps(reply, allow_nan=False).encode("utf-8")
+        except ValueError as error:
+            # strict JSON only (RFC 8259): a non-finite float the
+            # workers failed to send as text is a server fault
+            self.stats.incr("internal_errors")
+            status = 500
+            payload = json.dumps({"status": "error",
+                                  "error": f"unencodable reply: {error}"}
+                                 ).encode("utf-8")
+        self.stats.incr(f"http_{status // 100}xx")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   408: "Request Timeout", 413: "Payload Too Large",
                   429: "Too Many Requests",

@@ -20,6 +20,7 @@ into the served `/stats`.
 from __future__ import annotations
 
 import asyncio
+import math
 import multiprocessing
 import os
 import pickle
@@ -106,6 +107,23 @@ def _cached_smallest(store: ArtifactStore, key: str) -> Optional[Any]:
     return entry
 
 
+def _wire(value: Any) -> Any:
+    """A query answer with what a JSON number cannot carry sent as
+    text: an int count (a double is exact only to 2^53) and a
+    non-finite float (RFC 8259 has no NaN or Infinity: ``"inf"``,
+    ``"-inf"``, ``"nan"``), in lists and dicts too."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int) or \
+            (isinstance(value, float) and not math.isfinite(value)):
+        return str(value)
+    if isinstance(value, list):
+        return [_wire(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _wire(item) for key, item in value.items()}
+    return value
+
+
 def run_compile(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Compile a ticket into the shared store (worker side).
 
@@ -181,10 +199,7 @@ def run_query(payload: Dict[str, Any]) -> Dict[str, Any]:
                 weights=weights, weight_batch=batch, budget=budget,
                 forgotten=forgotten)
             reply["status"] = "ok"
-            result = reply.get("result")
-            if isinstance(result, int) and not isinstance(result, bool):
-                # counts can exceed JSON number precision; send text
-                reply["result"] = str(result)
+            reply["result"] = _wire(reply["result"])
             if "count" in reply:
                 reply["count"] = str(reply["count"])
     except BudgetExceeded as error:

@@ -9,16 +9,19 @@ and the core of AC-based Bayesian network inference.
 
 The scalar methods are the reference implementation; ``*_batch``
 variants answer N weight vectors in one numpy pass through the dense
-circuit kernel (:mod:`repro.nnf.kernel`), which is how dataset-sized
-query loads (classifier scoring, per-evidence MAR) are served.
+circuit kernel (:class:`~repro.ir.kernel.IrKernel`), which is how
+dataset-sized query loads (classifier scoring, per-evidence MAR) are
+served.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping
 
-from ..nnf.kernel import (KIND_LIT, get_kernel, pack_weight_batch)
+from ..ir.core import KIND_LIT
+from ..ir.kernel import pack_weight_batch
 from ..nnf.node import NnfNode
+from ..nnf.queries import get_kernel
 from ..nnf.transform import smooth as smooth_transform
 
 __all__ = ["ArithmeticCircuit"]

@@ -108,7 +108,7 @@ class WmcPipeline:
 
     # -- batched queries --------------------------------------------------------
     def _evidence_weight_batch(self, evidence_batch):
-        from ..nnf.kernel import pack_weight_batch
+        from ..ir.kernel import pack_weight_batch
         maps = [self.encoding.evidence_weights(dict(e or {}))
                 for e in evidence_batch]
         return pack_weight_batch(maps, self._all_vars)

@@ -1,62 +1,26 @@
-"""The complete reason behind a decision, as a tractable circuit
-(Darwiche & Hirth [33]; Fig 27).
+"""The complete reason behind a decision, as an NNF circuit built from
+a Decision-DNNF (Darwiche & Hirth [33]; Fig 27), and its prime
+implicants by antichain propagation.
 
-The *complete reason* is the disjunction of all sufficient reasons —
-the "most general abstraction of the instance that triggers the
-decision".  On a decision graph (OBDD) it is extracted in linear time:
-every decision node on variable X rewrites to
+The *complete reason* is the disjunction of all sufficient reasons.
+On a decision graph every decision gate on variable X rewrites to
 
     consistent_child ∧ (consistent_literal ∨ other_child)
 
-where "consistent" is relative to the instance.  The result is a
-*monotone* NNF circuit over the instance's literals, which is what
-makes it tractable to reason with.
+where "consistent" is relative to the instance; the result is a
+*monotone* NNF circuit over the instance's literals.  This route
+computes the reasons a second way — through NNF nodes and subset
+antichains instead of the IR enumerator's greedy probes — for the
+tests to compare against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Sequence
+from typing import Dict, FrozenSet, List, Mapping
 
-from ..nnf.node import NnfManager, NnfNode
-from ..obdd.manager import ObddNode
-from .sufficient import decision_and_function
+from repro.nnf.node import NnfManager, NnfNode
 
-__all__ = ["reason_circuit", "reason_circuit_ddnnf", "reason_implies",
-           "reason_prime_implicants"]
-
-
-def reason_circuit(node: ObddNode, instance: Mapping[int, bool],
-                   manager: NnfManager | None = None) -> NnfNode:
-    """The complete-reason circuit for the decision on ``instance``.
-
-    Works for positive and negative decisions alike (the negative case
-    transforms the complement, per Fig 26).
-    """
-    if manager is None:
-        manager = NnfManager()
-    _decision, trigger = decision_and_function(node, instance)
-    obdd_manager = trigger.manager
-    cache: Dict[int, NnfNode] = {}
-
-    def build(current: ObddNode) -> NnfNode:
-        hit = cache.get(current.id)
-        if hit is not None:
-            return hit
-        if current.is_terminal:
-            result = manager.true() if current.terminal_value \
-                else manager.false()
-        else:
-            var = current.var
-            value = instance[var]
-            literal = manager.literal(var if value else -var)
-            consistent = build(current.high if value else current.low)
-            other = build(current.low if value else current.high)
-            result = manager.conjoin(consistent,
-                                     manager.disjoin(literal, other))
-        cache[current.id] = result
-        return result
-
-    return build(trigger)
+__all__ = ["reason_circuit_ddnnf", "reason_prime_implicants"]
 
 
 def reason_circuit_ddnnf(trigger: NnfNode, instance: Mapping[int, bool],
@@ -73,11 +37,10 @@ def reason_circuit_ddnnf(trigger: NnfNode, instance: Mapping[int, bool],
     classifier itself for a positive decision, a Decision-DNNF of its
     complement for a negative one (note that
     :func:`repro.nnf.transform.negate_decision` does not preserve the
-    decision-gate shape; compile the complement instead, or use the
-    OBDD-based :func:`reason_circuit`).  The instance must satisfy the
-    trigger.
+    decision-gate shape; compile the complement instead).  The
+    instance must satisfy the trigger.
     """
-    from ..nnf.properties import is_decision_node
+    from repro.nnf.properties import is_decision_node
     if manager is None:
         manager = trigger.manager
     if not trigger.evaluate({**{v: False for v in trigger.variables()},
@@ -136,29 +99,6 @@ def reason_circuit_ddnnf(trigger: NnfNode, instance: Mapping[int, bool],
         return result
 
     return build(trigger)
-
-
-def reason_implies(circuit: NnfNode, term: Sequence[int]) -> bool:
-    """Does the term (a subset of the instance's literals) trigger the
-    decision — i.e. imply the complete reason?
-
-    The circuit is monotone in the instance literals, so it suffices to
-    evaluate it with exactly the term's literals asserted.
-    """
-    term_set = set(term)
-    values: Dict[int, bool] = {}
-    for node in circuit.topological():
-        if node.is_literal:
-            values[node.id] = node.literal in term_set
-        elif node.is_true:
-            values[node.id] = True
-        elif node.is_false:
-            values[node.id] = False
-        elif node.is_and:
-            values[node.id] = all(values[c.id] for c in node.children)
-        else:
-            values[node.id] = any(values[c.id] for c in node.children)
-    return values[circuit.id]
 
 
 def reason_prime_implicants(circuit: NnfNode) -> List[FrozenSet[int]]:

@@ -26,11 +26,11 @@ from repro.classifiers import (BinarizedNeuralNetwork, BnClassifier,
                                NaiveBayesClassifier, RandomForest,
                                compile_bnn)
 from repro.compile.dnnf_compiler import DnnfCompiler
-from repro.explain import decision_sticks, decision_sticks_batch
+from repro.explain import decision_sticks_batch
 from repro.ir import facade, ir_kernel, nnf_to_ir
+from repro.ir.kernel import pack_weight_batch
 from repro.logic.cnf import Cnf
 from repro.nnf import queries
-from repro.nnf.kernel import pack_weight_batch
 from repro.psdd import (learn_parameters, marginal, marginal_batch,
                         psdd_from_sdd, sample_dataset,
                         variable_marginals)
@@ -421,7 +421,8 @@ class TestClassifierBatches:
 
 
 class TestCounterfactualBatch:
-    """Batched OBDD probes: fig-28 style per-pixel sweeps."""
+    """Batched probes on a lowered OBDD: fig-28 style per-pixel
+    sweeps."""
 
     def test_decision_sticks_batch(self):
         rng = random.Random(31)
@@ -434,9 +435,17 @@ class TestCounterfactualBatch:
         variables = sorted(instance)
         flip_sets = [[v] for v in variables] + \
             [rng.sample(variables, 3) for _ in range(10)] + [[]]
-        batch = decision_sticks_batch(circuit, instance, flip_sets)
-        assert batch == [decision_sticks(circuit, instance, flips)
-                         for flips in flip_sets]
+        batch = decision_sticks_batch(circuit.to_ir(), instance,
+                                      flip_sets)
+        # the definition, one OBDD path walk per flip set
+        decision = circuit.evaluate(instance)
+        want = []
+        for flips in flip_sets:
+            flipped = {v: value != (v in flips)
+                       for v, value in instance.items()}
+            want.append(circuit.evaluate(flipped) == decision)
+        assert batch == want
+        assert not all(want), "fixture must flip some decision"
 
     def test_obdd_evaluate_batch(self):
         rng = random.Random(32)
@@ -462,7 +471,7 @@ def test_kernel_imports_without_numpy_side_effects():
         "time' % name)",
         "sys.modules['numpy'] = Poison('numpy')",
         "import repro",
-        "import repro.nnf.kernel as kernel",
+        "import repro.ir.kernel as kernel",
         "import repro.nnf.queries",
         "assert hasattr(kernel.IrKernel, 'wmc_batch')",
         "from repro.logic.cnf import Cnf",

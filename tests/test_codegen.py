@@ -294,7 +294,7 @@ def test_evaluation_writes_nothing_to_the_cache_dir(tmp_path,
                                                     monkeypatch):
     """``$REPRO_CACHE_DIR`` names the compile cache; evaluating an
     in-memory circuit leaves it untouched."""
-    from repro.nnf.kernel import get_kernel
+    from repro.nnf.queries import get_kernel
     from repro.nnf.queries import weighted_model_count
     cnf = random_cnf(random.Random(1602), max_vars=9)
     root = DnnfCompiler().compile(cnf)

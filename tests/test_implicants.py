@@ -2,11 +2,11 @@
 (``repro.explain.implicants``) and its facade / serve / CLI plumbing.
 
 The heart is randomized certification: ≥500 random circuits where the
-IR enumerator must agree exactly with the OBDD-route ground truth
-(``all_sufficient_reasons`` / ``reason_prime_implicants``), plus the
-anytime contract (budget expiry degrades, never lies), the hardness
-boundary on tractable families, forgotten-auxiliary exclusion, and
-the query-gate discipline.
+IR enumerator must agree exactly with the ground truth in
+``tests/oracles`` (the brute-force OBDD reasons and the reason-circuit
+antichain), plus the anytime contract (budget expiry degrades, never
+lies), the hardness boundary on tractable families, forgotten-auxiliary
+exclusion, and the query-gate discipline.
 """
 
 import json
@@ -17,12 +17,8 @@ import pytest
 from repro.analyze.gate import PropertyViolation, gate_scope
 from repro.compile import compile_cnf
 from repro.compile.dnnf_compiler import DnnfCompiler
-from repro.explain import (all_sufficient_reasons,
-                           check_necessary_batch, check_sufficient_batch,
-                           is_necessary, is_sufficient_reason,
-                           iter_sufficient_reasons, necessary_characteristics,
-                           necessary_literals, reason_circuit_ddnnf,
-                           reason_prime_implicants,
+from repro.explain import (check_necessary_batch, check_sufficient_batch,
+                           iter_sufficient_reasons, necessary_literals,
                            sufficient_reasons)
 from repro.ir import facade
 from repro.ir.core import FLAG_DECOMPOSABLE, FLAG_DETERMINISTIC
@@ -33,6 +29,10 @@ from repro.logic.formula import And, Lit, Not, Or
 from repro.logic.tseitin import tseitin
 from repro.obdd import ObddManager, compile_cnf_obdd
 from repro.perf.instrument import Counter
+from tests.oracles.reason_circuit import (reason_circuit_ddnnf,
+                                          reason_prime_implicants)
+from tests.oracles.sufficient import (all_sufficient_reasons,
+                                      is_sufficient_reason)
 
 
 def random_cnf(rng, max_vars=8):
@@ -60,6 +60,12 @@ def compile_ir(cnf):
     root = DnnfCompiler().compile(cnf)
     return nnf_to_ir(root,
                      flags=FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC)
+
+
+def reason_intersection(reasons):
+    """The necessary literals by definition: those in every reason."""
+    common = frozenset.intersection(*reasons) if reasons else frozenset()
+    return sorted(common, key=abs)
 
 
 # -- randomized certification against the OBDD ground truth -------------------
@@ -90,7 +96,7 @@ def test_enumerator_matches_obdd_route_on_500_circuits():
         assert set(antichain) == expected
         # necessary literals = intersection of all reasons
         assert necessary_literals(ir, instance) == \
-            necessary_characteristics(obdd, instance)
+            reason_intersection(list(expected))
         checked += 1
     assert checked >= 500
 
@@ -362,12 +368,10 @@ def test_count_oracle_fallback_on_guardless_variant():
             assert out["complete"]
             assert {frozenset(r) for r in out["reasons"]} == \
                 set(all_sufficient_reasons(f, instance))
-            want_necessary = sorted(
-                frozenset.intersection(*map(frozenset, out["reasons"])),
-                key=abs) if out["reasons"] else []
             assert necessary_literals(
                 result.ir, instance,
-                forgotten=result.forgotten) == want_necessary
+                forgotten=result.forgotten) == reason_intersection(
+                    [frozenset(r) for r in out["reasons"]])
         else:
             with pytest.raises(ValueError, match="negative decision"):
                 sufficient_reasons(result.ir, instance,
@@ -410,7 +414,8 @@ def test_leaked_forgotten_variable_rejected():
 
 def test_batched_checks_agree_with_scalar():
     """Random mixed-decision datasets: the two-pass numpy route gives
-    exactly the scalar OBDD answers for sufficiency and necessity."""
+    exactly the OBDD oracle's answers for sufficiency and necessity
+    (the intersection of the brute-force reasons)."""
     rng = random.Random(7)
     total = 0
     for _ in range(40):
@@ -437,10 +442,9 @@ def test_batched_checks_agree_with_scalar():
         assert got == want
         gotn = check_necessary_batch(ir, instances, literals)
         for inst, lit, value in zip(instances, literals, gotn):
-            try:
-                assert value == is_necessary(obdd, inst, lit)
-            except ValueError:
-                assert not value  # non-instance literal: never necessary
+            # a non-instance literal is in no reason: never necessary
+            assert value == (lit in reason_intersection(
+                all_sufficient_reasons(obdd, inst)))
         total += len(instances)
     assert total >= 500
 

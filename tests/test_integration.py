@@ -10,9 +10,8 @@ from repro.bayesnet import (map_query, mar, medical_network, mpe,
 from repro.classifiers import (BnClassifier, compile_naive_bayes,
                                pregnancy_classifier)
 from repro.compile import compile_cnf
-from repro.explain import (all_sufficient_reasons, decision_is_biased,
-                           minimal_sufficient_reason, reason_circuit,
-                           reason_prime_implicants)
+from repro.explain import (decision_is_biased, iter_sufficient_reasons,
+                           reason_graph, sufficient_reasons)
 from repro.logic import Cnf, VarMap, iter_assignments, parse, to_cnf
 from repro.nnf import (classify, model_count as nnf_count,
                        weighted_model_count)
@@ -24,6 +23,7 @@ from repro.sdd import compile_cnf_sdd, sdd_to_nnf
 from repro.solvers import solve_count
 from repro.spaces import RouteModel, grid_map
 from repro.wmc import WmcPipeline
+from tests.oracles.sufficient import all_sufficient_reasons
 
 
 def test_role1_end_to_end():
@@ -135,14 +135,18 @@ def test_role3_end_to_end():
         assert circuit.evaluate(a) == classifier.decide(a)
     # (2) every sufficient reason truly fixes the decision
     susan = {1: True, 2: True, 3: True}
-    for reason in all_sufficient_reasons(circuit, susan):
+    ir = circuit.to_ir()
+    reasons = sufficient_reasons(ir, susan)["reasons"]
+    for reason in reasons:
         fixed = {abs(l): l > 0 for l in reason}
         free = [v for v in (1, 2, 3) if v not in fixed]
         for completion in iter_assignments(free):
             assert classifier.decide({**completion, **fixed})
-    # (3) the reason circuit's PIs equal the reasons
-    rc = reason_circuit(circuit, susan)
-    assert set(reason_prime_implicants(rc)) == \
+    # (3) the complete-reason graph's prime implicants are the reasons,
+    # and both match the brute-force OBDD oracle
+    graph = reason_graph(ir, susan)
+    assert set(iter_sufficient_reasons(graph=graph)) == \
+        {frozenset(r) for r in reasons} == \
         set(all_sufficient_reasons(circuit, susan))
     # (4) robustness: flipping fewer features than the robustness can
     # never change the decision
@@ -164,14 +168,16 @@ def test_bn_classifier_explanation_pipeline():
     instance = {1: 1, 2: 1, 3: 1}
     bool_instance = {k: bool(v) for k, v in instance.items()}
     if circuit.evaluate(bool_instance):
-        reason = minimal_sufficient_reason(circuit, bool_instance)
+        reason = next(iter_sufficient_reasons(circuit.to_ir(),
+                                              bool_instance))
         fixed = {abs(l): l > 0 for l in reason}
         free = [v for v in (1, 2, 3) if v not in fixed]
         func = clf.decision_function()
         for completion in iter_assignments(free):
             assert func({**completion, **fixed})
     # sex should not be decisive enough to flip alone here
-    assert not decision_is_biased(circuit, bool_instance, [1]) or True
+    assert not decision_is_biased(circuit.to_ir(), bool_instance, [1]) \
+        or True
 
 
 def test_sampling_respects_learned_distribution():

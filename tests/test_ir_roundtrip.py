@@ -24,7 +24,7 @@ from repro.ir.serialize import (ir_from_nnf_text, ir_to_nnf_text,
                                 write_sdd_file, write_vtree_text)
 from repro.logic.cnf import Cnf
 from repro.nnf import queries, queries_legacy
-from repro.nnf.kernel import get_kernel
+from repro.nnf.queries import get_kernel
 from repro.perf.instrument import Counter
 
 

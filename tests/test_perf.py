@@ -84,7 +84,7 @@ class TestEngineWiring:
         assert manager.stats["apply_calls"] > 0
 
     def test_kernel_memoises_repeated_queries(self):
-        from repro.nnf.kernel import get_kernel
+        from repro.nnf.queries import get_kernel
         from repro.nnf.queries import model_count
         root = DnnfCompiler().compile(self.CNF)
         # structurally identical circuits share one kernel, so an

@@ -1,16 +1,20 @@
-"""Tests for the Decision-DNNF reason-circuit construction and the
-NNF → OBDD bridge."""
+"""Tests for the Decision-DNNF reason-circuit oracle (its two
+computations of the reasons must agree with each other and with the
+IR enumerator) and the NNF → OBDD bridge."""
 
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compile import compile_cnf
-from repro.explain import (all_sufficient_reasons, reason_circuit_ddnnf,
-                           reason_prime_implicants)
+from repro.explain import sufficient_reasons
+from repro.ir.lower import nnf_to_ir
 from repro.logic import Cnf, iter_assignments
 from repro.obdd import (ObddManager, compile_cnf_obdd, compile_nnf_obdd,
                         model_count)
+from tests.oracles.reason_circuit import (reason_circuit_ddnnf,
+                                          reason_prime_implicants)
+from tests.oracles.sufficient import all_sufficient_reasons
 
 
 def cnfs(max_var=5, max_clauses=7):
@@ -33,8 +37,10 @@ def test_ddnnf_reasons_match_obdd_route(cnf, bits):
         return
     ddnnf = compile_cnf(cnf)
     circuit = reason_circuit_ddnnf(ddnnf, instance)
-    assert set(reason_prime_implicants(circuit)) == \
-        set(all_sufficient_reasons(obdd, instance))
+    expected = set(all_sufficient_reasons(obdd, instance))
+    assert set(reason_prime_implicants(circuit)) == expected
+    out = sufficient_reasons(nnf_to_ir(ddnnf), instance)
+    assert {frozenset(r) for r in out["reasons"]} == expected
 
 
 def test_ddnnf_reasons_reject_unsatisfied_instance():

@@ -234,7 +234,48 @@ class TestServer:
         _, marg = client.query(key, "marginals", num_vars=4)
         assert int(marg["count"]) == SMALL_COUNT
         negatives, positives = marg["result"]["1"]
-        assert negatives + positives == SMALL_COUNT
+        assert int(negatives) + int(positives) == SMALL_COUNT
+
+    @staticmethod
+    def _strict_query(server, body):
+        """POST /query and decode the raw reply with a parser that
+        refuses NaN and Infinity (RFC 8259 has neither)."""
+        import http.client
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+        connection = http.client.HTTPConnection(*server.address,
+                                                timeout=60)
+        try:
+            connection.request("POST", "/query", json.dumps(body),
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            return response.status, json.loads(response.read(),
+                                               parse_constant=refuse)
+        finally:
+            connection.close()
+
+    def test_marginal_pairs_keep_exact_counts(self, server, client):
+        """2^58 and 2^59 are past a double's exact range: the pairs
+        travel as strings (a client decoding JSON numbers as doubles
+        would round them) and decode exactly."""
+        _, compiled = client.compile("p cnf 60 1\n1 0\n")
+        status, marg = self._strict_query(
+            server, {"key": compiled["key"], "query": "marginals",
+                     "num_vars": 60})
+        assert status == 200
+        assert marg["count"] == str(2 ** 59)
+        assert marg["result"]["1"] == ["0", str(2 ** 59)]
+        for var in range(2, 61):
+            assert marg["result"][str(var)] == [str(2 ** 58)] * 2
+
+    def test_unsatisfiable_mpe_is_strict_json(self, server, client):
+        _, compiled = client.compile("p cnf 2 2\n1 0\n-1 0\n")
+        status, mpe = self._strict_query(
+            server, {"key": compiled["key"], "query": "mpe",
+                     "num_vars": 2})
+        assert status == 200
+        assert mpe["result"] == "-inf"
 
     def test_unknown_key_is_404(self, client):
         status, body = client.query("f" * 64, "count")

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from repro.bayesnet import (forward_sample, likelihood_weighting, mar,
                             medical_network, random_network,
                             sample_dataset)
-from repro.explain import (all_sufficient_reasons, is_necessary,
-                           necessary_characteristics)
+from repro.explain import check_necessary_batch, necessary_literals
 from repro.logic import Cnf, pair_biconditionals
 from repro.obdd import (ObddManager, compile_cnf_obdd, minimize_order,
                         model_count, obdd_size_for_order)
 from repro.robust import robust_region, robustness_histogram
 from repro.wmc import WmcPipeline, encode_binary, encode_multistate
+from tests.oracles.sufficient import all_sufficient_reasons
 
 
 def cnfs(max_var=4, max_clauses=6):
@@ -34,18 +34,18 @@ def test_necessary_on_fig26():
     f = (m.literal(1) | m.literal(-3)) & (m.literal(2) | m.literal(3)) \
         & (m.literal(1) | m.literal(2))
     instance = {1: True, 2: True, 3: False}
+    ir = f.to_ir()
     # reasons are {1,2} and {2,-3}: only literal 2 is in both
-    assert necessary_characteristics(f, instance) == [2]
-    assert is_necessary(f, instance, 2)
-    assert not is_necessary(f, instance, 1)
-    with pytest.raises(ValueError):
-        is_necessary(f, instance, -2)  # not an instance literal
+    assert necessary_literals(ir, instance) == [2]
+    # -2 is not an instance literal, so never necessary
+    assert check_necessary_batch(ir, [instance] * 3, [2, 1, -2]) == \
+        [True, False, False]
 
 
 @settings(max_examples=60, deadline=None)
 @given(cnfs(), st.integers(0, 15))
 def test_necessary_is_reason_intersection(cnf, bits):
-    node, _m = compile_cnf_obdd(cnf)
+    node, manager = compile_cnf_obdd(cnf)
     if node.is_terminal:
         return
     instance = {v: bool((bits >> (v - 1)) & 1)
@@ -54,7 +54,9 @@ def test_necessary_is_reason_intersection(cnf, bits):
     expected = set(reasons[0])
     for reason in reasons[1:]:
         expected &= reason
-    assert set(necessary_characteristics(node, instance)) == expected
+    # a negative decision is explained on the complement
+    trigger = node if node.evaluate(instance) else manager.negate(node)
+    assert set(necessary_literals(trigger.to_ir(), instance)) == expected
 
 
 # -- robust regions -----------------------------------------------------------------

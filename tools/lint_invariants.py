@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-invariant lint: AST checks ruff/mypy cannot express.
 
-Seven rules, each guarding a deliberate architectural boundary:
+Eight rules, each guarding a deliberate architectural boundary:
 
 1. **legacy-isolation** — production modules must not import any
    ``*_legacy`` name/module at module level.  The legacy baselines
@@ -59,11 +59,19 @@ Seven rules, each guarding a deliberate architectural boundary:
    whose absence it is supposed to certify; this rule is what makes a
    ``PROVED`` verdict worth more than the compiler's own say-so.
 
+8. **oracle-isolation** — no scanned file may import the test package
+   (``tests`` or anything under it, ``tests.oracles`` included; lazy
+   imports count too).  The oracles there are ground truth for the
+   test suites — brute-force and second-route computations — and
+   shipped code, benchmarks, tools and examples answer on the one
+   production route.
+
 Scanned roots: ``src/repro`` (relative paths like ``ir/store.py``),
-plus ``tools/`` and ``benchmarks/`` under those prefixes — so the
-src-keyed rules (clock-injection, flag-trust, ...) cannot misfire on
-them, while the everywhere-rules (no-exec, legacy-isolation,
-rewrite-isolation) do apply.  Tests are not linted.
+plus ``tools/``, ``benchmarks/`` and ``examples/`` under those
+prefixes — so the src-keyed rules (clock-injection, flag-trust, ...)
+cannot misfire on them, while the everywhere-rules (no-exec,
+legacy-isolation, rewrite-isolation, oracle-isolation) do apply.
+Tests are not linted.
 
 Exit status 1 with ``file:line: rule message`` diagnostics on any
 violation; 0 on a clean tree.  Stdlib only — runs anywhere.
@@ -83,7 +91,6 @@ CLOCK_GOVERNED = ("limits", "sat", "compile", "ir")
 QUERY_LAYER = (
     "ir/kernel.py",
     "nnf/queries.py",
-    "nnf/kernel.py",
     "sdd/queries.py",
     "obdd/ops.py",
     "psdd/queries.py",
@@ -331,6 +338,27 @@ def check_rewrite_isolation(path: Path, rel: str,
                    f"certification gate")
 
 
+def _is_test_module(module: str) -> bool:
+    return module == "tests" or module.startswith("tests.")
+
+
+def check_oracle_isolation(path: Path, rel: str,
+                           tree: ast.Module) -> Iterator[Violation]:
+    for node in ast.walk(tree):  # lazy imports count too
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            if _is_test_module(module):
+                yield (path, node.lineno, "oracle-isolation",
+                       f"import of test module {module!r} (test "
+                       f"oracles are ground truth for the suites, "
+                       f"not a production route)")
+
+
 def collect_violations(src_root: Path,
                        extra_roots: "List[Tuple[Path, str]]" = []
                        ) -> List[Violation]:
@@ -359,6 +387,7 @@ def collect_violations(src_root: Path,
         violations.extend(check_serve_isolation(path, rel, tree))
         violations.extend(check_rewrite_isolation(path, rel, tree))
         violations.extend(check_proof_isolation(path, rel, tree))
+        violations.extend(check_oracle_isolation(path, rel, tree))
     return violations
 
 
@@ -369,8 +398,8 @@ def main(argv: List[str]) -> int:
         print(f"error: {root} is not a directory", file=sys.stderr)
         return 2
     extras = []
-    if len(argv) <= 1:  # default layout: lint tools + benchmarks too
-        for name in ("tools", "benchmarks"):
+    if len(argv) <= 1:  # default layout: lint the other roots too
+        for name in ("tools", "benchmarks", "examples"):
             if (repo / name).is_dir():
                 extras.append((repo / name, name))
     violations = collect_violations(root, extras)
