@@ -7,10 +7,10 @@ builds a levelized plan: nodes are permuted so every run of same-kind
 gates at one depth is contiguous, and each run becomes one numpy call
 (a gather plus an elementwise ufunc, an axis-1 reduction or a
 ``reduceat`` segment reduction) writing directly into a contiguous
-slice of the value vector.  Each forward pass — linear, log,
-max-product and boolean — binds the plan's steps to its semiring's
-ufuncs once; a query runs the bound steps in order.  One plan serves
-scalar *and* batched calls (a value row per node).
+slice of the value vector.  Each forward pass — linear, log and
+max-product, which also evaluates booleans — binds the plan's steps to
+its semiring's ufuncs once; a query runs the bound steps in order.
+One plan serves scalar *and* batched calls (a value row per node).
 
 The evaluator is derived in-process from the circuit and nothing else:
 no source text is generated, the artifact store is neither read nor
@@ -32,9 +32,9 @@ arrays.
 
 from __future__ import annotations
 
-import operator
 import os
 import time
+from itertools import groupby
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from ..perf.instrument import Counter
@@ -89,20 +89,30 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
 
 # -- plan construction --------------------------------------------------------
 
-#: one contiguous run of same-kind gates: (is OR, output slice, arity
-#: or 0 when mixed, child positions, segment offsets of a mixed run,
-#: the two strided child gathers of a binary run, the or-gap triple of
-#: gapped edges / gap-variable indices / their segment offsets)
-_Run = Tuple[bool, slice, int, Any, Any, Any, Any]
+#: one contiguous run of gates writing one output slice: (is OR, output
+#: slice, arity or 0 when mixed, child positions — the two strided
+#: gathers of a binary run —, segment offsets of a mixed run)
+_Run = Tuple[bool, slice, int, Any, Any]
 
 
 class _Plan:
     """The levelized layout of one circuit: a node permutation that
     makes every (level, kind) run contiguous, plus the index arrays the
-    forward passes gather through."""
+    forward passes gather through.
 
-    __slots__ = ("root", "pos", "lit_list", "lit_pos", "lit_idx",
-                 "one_pos", "zero_pos", "gv_pos", "gv_neg", "steps")
+    The value buffer holds ``size`` slots: the ``n`` nodes, then one
+    slot per distinct or-edge gap set (``fill``), then the edge band.
+    A gap set's slot holds the semiring product of ``W(v) ⊕ W(¬v)``
+    over its variables, ascending — the value smoothing would add as
+    ``v ∨ ¬v`` leaves.  Each or-run with gapped edges is preceded by
+    its own binary and-step writing ``child ⊗ set`` per gapped edge
+    into the band, and the run gathers those slots instead of the
+    children.  Every such run reuses the one band: its slots are read
+    by that run alone, right after its and-step."""
+
+    __slots__ = ("root", "pos", "size", "lit_list", "lit_pos", "lit_idx",
+                 "one_pos", "zero_pos", "gv_pos", "gv_neg", "fill",
+                 "steps")
 
     def __init__(self, kernel: "IrKernel") -> None:
         np = _numpy()
@@ -150,14 +160,20 @@ class _Plan:
         self.root = pos[n - 1]
         self.pos = pos
 
+        # one slot per distinct gap set, after the nodes, shortest first
+        or_gaps = kernel.or_gap_vars
+        distinct = {gap for gaps in or_gaps for gap in gaps}
+        distinct.discard(())
+        gap_sets = sorted(distinct, key=lambda gap: (len(gap), gap))
+        set_slot = {gap: n + j for j, gap in enumerate(gap_sets)}
+        band = n + len(gap_sets)
+
         # literal codes: every literal the circuit mentions plus both
-        # phases of every or-gate gap variable (the W(v)+W(-v) factor)
+        # phases of every gap variable (the W(v) ⊕ W(-v) factor)
         lit_list: List[int] = sorted(
             {ir.lits[i] for i in range(n) if kinds[i] == KIND_LIT})
         lit_index = {lit: j for j, lit in enumerate(lit_list)}
-        gap_vars = sorted({var for i in range(n) if kinds[i] == KIND_OR
-                           for gv in kernel.or_gap_vars[i] or ()
-                           for var in gv})
+        gap_vars = sorted({var for gap in gap_sets for var in gap})
         for var in gap_vars:
             for lit in (var, -var):
                 if lit not in lit_index:
@@ -170,11 +186,34 @@ class _Plan:
         self.lit_idx = np.array(
             [lit_index[ir.lits[i]] for i in range(n)
              if kinds[i] == KIND_LIT], dtype=np.int64)
-        gap_index = {var: j for j, var in enumerate(gap_vars)}
         self.gv_pos = np.array([lit_index[v] for v in gap_vars],
                                dtype=np.int64)
         self.gv_neg = np.array([lit_index[-v] for v in gap_vars],
                                dtype=np.int64)
+        gap_index = {var: j for j, var in enumerate(gap_vars)}
+        # the slots' fill, in three size classes: a set of one or two
+        # variables is a gather and at most one product; longer sets
+        # take the semiring product's own segment reduction, the order
+        # the per-edge fold had (numpy's add.reduceat sums a segment's
+        # tail before adding its head, pairwise past eight terms;
+        # multiply folds left to right)
+        fill: List[Tuple[slice, Any, Any]] = []
+        start = n
+        for size, group in groupby(gap_sets,
+                                   key=lambda gap: min(len(gap), 3)):
+            sets = list(group)
+            out = slice(start, start + len(sets))
+            start += len(sets)
+            if size < 3:
+                fill.append((out, [
+                    np.array([gap_index[gap[j]] for gap in sets],
+                             dtype=np.int64) for j in range(size)], None))
+            else:
+                index = [gap_index[var] for gap in sets for var in gap]
+                fill.append((out, np.array(index, dtype=np.int64),
+                             np.cumsum([0] + [len(gap)
+                                              for gap in sets[:-1]])))
+        self.fill = fill
 
         # constant positions: TRUE and childless AND are the semiring
         # one; FALSE and childless OR the semiring zero
@@ -191,8 +230,10 @@ class _Plan:
         self.one_pos = np.array(ones, dtype=np.int64)
         self.zero_pos = np.array(zeros, dtype=np.int64)
 
-        # one step per contiguous (level, kind) run of internal gates
+        # one step per contiguous (level, kind) run of internal gates,
+        # an or-run with gapped edges after its own edge and-step
         steps: List[_Run] = []
+        band_size = 0
         by_group: Dict[Tuple[int, int, int, int], List[int]] = {}
         for i in order:
             if children[i] and (kinds[i] == KIND_AND or
@@ -205,82 +246,85 @@ class _Plan:
             is_or = group[1] == KIND_OR
             child_ids: List[int] = []
             offs = [0]
-            egaps: List[Tuple[int, ...]] = []
+            edge_kids: List[int] = []
+            edge_sets: List[int] = []
             for i in ids:
-                child_ids.extend(pos[c] for c in children[i])
+                gaps = or_gaps[i] if is_or else ()
+                if any(gaps):
+                    for c, gap in zip(children[i], gaps):
+                        if gap:
+                            child_ids.append(band + len(edge_kids))
+                            edge_kids.append(pos[c])
+                            edge_sets.append(set_slot[gap])
+                        else:
+                            child_ids.append(pos[c])
+                else:
+                    child_ids.extend(pos[c] for c in children[i])
                 offs.append(len(child_ids))
-                if is_or:
-                    egaps.extend(kernel.or_gap_vars[i] or ())
+            if edge_kids:
+                # a step of its own: merged into the level's and-runs,
+                # a gate could move between an axis reduction and
+                # reduceat, which add in different orders
+                band_size = max(band_size, len(edge_kids))
+                steps.append((False, slice(band, band + len(edge_kids)),
+                              2, (np.array(edge_kids, dtype=np.int64),
+                                  np.array(edge_sets, dtype=np.int64)),
+                              None))
             arities = {len(children[i]) for i in ids}
             arity = arities.pop() if len(arities) == 1 else 0
             offsets = None if arity else \
                 np.array(offs[:-1], dtype=np.int64)
-            pair = None
+            kids_at: Any
             if arity == 2:
                 # binary runs (the d-DNNF common case) skip reduceat
                 # for one elementwise ufunc over two strided gathers
-                pair = (np.array(child_ids[0::2], dtype=np.int64),
-                        np.array(child_ids[1::2], dtype=np.int64))
-            gaps = None
-            gap_edges = [e for e, gv in enumerate(egaps) if gv]
-            if gap_edges:
-                gidx: List[int] = []
-                goffs = [0]
-                for e in gap_edges:
-                    gidx.extend(gap_index[v] for v in egaps[e])
-                    goffs.append(len(gidx))
-                gaps = (np.array(gap_edges, dtype=np.int64),
-                        np.array(gidx, dtype=np.int64),
-                        np.array(goffs[:-1], dtype=np.int64))
+                kids_at = (np.array(child_ids[0::2], dtype=np.int64),
+                           np.array(child_ids[1::2], dtype=np.int64))
+            else:
+                kids_at = np.array(child_ids, dtype=np.int64)
             steps.append((is_or, slice(pos[ids[0]], pos[ids[-1]] + 1),
-                          arity, np.array(child_ids, dtype=np.int64),
-                          offsets, pair, gaps))
+                          arity, kids_at, offsets))
+        self.size = band + band_size
         self.steps = steps
 
 
 # -- forward passes -----------------------------------------------------------
 
 #: step codes of a bound forward pass (see :func:`_bind`)
-_PAIR, _COPY, _BINARY, _REDUCE, _SEGMENT = range(5)
+_PAIR, _COPY, _REDUCE, _SEGMENT = range(4)
 
-#: (code, output slice, ufunc or method, gather index, operand, gap)
-_Step = Tuple[int, slice, Any, Any, Any, Any]
+#: (code, output slice, ufunc or method, gather index, operand)
+_Step = Tuple[int, slice, Any, Any, Any]
+
+#: a bound forward pass: its steps, then the semiring product and sum
+_Pass = Tuple[List[_Step], Any, Any]
 
 
-def _bind(plan: _Plan, and_op: Any, or_op: Any,
-          gap_ops: Any) -> List[_Step]:
+def _bind(plan: _Plan, and_op: Any, or_op: Any) -> _Pass:
     """One forward pass: the plan's steps bound to a semiring's product
-    and sum ufuncs.  ``gap_ops`` — a segment reduction and the in-place
-    operator that applies its result — folds the per-edge or-gap factor
-    in (None for passes that ignore gaps, e.g. evaluation).
+    and sum ufuncs.
 
     Uniform-arity runs specialize away ``reduceat``: arity 1 is a
-    sliced copy, arity 2 one elementwise ufunc call (over two strided
-    gathers when no gap factor intervenes), arity ``a`` a
-    ``reshape((gates, a) + ...)`` + axis-1 ``ufunc.reduce`` — an order
-    of magnitude faster than the segmented reduction on the binary
-    runs that dominate d-DNNFs.  Mixed-arity runs keep ``reduceat``."""
+    sliced copy, arity 2 one elementwise ufunc call over two strided
+    gathers, arity ``a`` a ``reshape((gates, a) + ...)`` + axis-1
+    ``ufunc.reduce`` — an order of magnitude faster than the segmented
+    reduction on the binary runs that dominate d-DNNFs.  Mixed-arity
+    runs keep ``reduceat``."""
     steps: List[_Step] = []
-    for is_or, out, arity, children, offsets, pair, gaps in plan.steps:
+    for is_or, out, arity, children, offsets in plan.steps:
         op = or_op if is_or else and_op
-        gap = None
-        if gaps is not None and gap_ops is not None:
-            gap = gaps + gap_ops
-        if arity == 2 and gap is None:
-            steps.append((_PAIR, out, op, pair[0], pair[1], None))
+        if arity == 2:
+            steps.append((_PAIR, out, op, children[0], children[1]))
         elif arity == 1:
-            steps.append((_COPY, out, None, children, None, gap))
-        elif arity == 2:
-            steps.append((_BINARY, out, op, children, None, gap))
+            steps.append((_COPY, out, None, children, None))
         elif arity > 2:
             # explicit gate count (not -1): a zero-width batch axis
             # makes -1 ambiguous on a size-0 gather
             steps.append((_REDUCE, out, op.reduce, children,
-                          (out.stop - out.start, arity), gap))
+                          (out.stop - out.start, arity)))
         else:
-            steps.append((_SEGMENT, out, op.reduceat, children,
-                          offsets, gap))
-    return steps
+            steps.append((_SEGMENT, out, op.reduceat, children, offsets))
+    return steps, and_op, or_op
 
 
 # -- the compiled circuit -----------------------------------------------------
@@ -311,18 +355,15 @@ class CompiledCircuit:
         self._count: Optional[int] = None
         plan = _Plan(kernel)
         self.plan = plan
-        scale = (np.multiply.reduceat, operator.imul)
-        shift = (np.add.reduceat, operator.iadd)
         self._passes = {
             # linear semiring: WMC, model count, sat (all weights 1)
-            "wmc": _bind(plan, np.multiply, np.add, scale),
-            # log semiring: log-space WMC (gapvals pre-combined per
-            # variable)
-            "log": _bind(plan, np.add, np.logaddexp, shift),
-            # max-product semiring: the MPE upward pass
-            "max": _bind(plan, np.multiply, np.maximum, scale),
-            # boolean evaluation on 0/1 floats (gaps are irrelevant)
-            "eval": _bind(plan, np.multiply, np.maximum, None),
+            "wmc": _bind(plan, np.multiply, np.add),
+            # log semiring: log-space WMC
+            "log": _bind(plan, np.add, np.logaddexp),
+            # max-product semiring: the MPE upward pass, and boolean
+            # evaluation on 0/1 floats (a gap variable's two literals
+            # then weigh 0 and 1, so every gap factor is exactly 1)
+            "max": _bind(plan, np.multiply, np.maximum),
         }
         self.stats.incr("codegen_compiles")
         self.stats.incr("codegen_compile_us",
@@ -347,18 +388,31 @@ class CompiledCircuit:
         return np.array([weights[lit] for lit in self.plan.lit_list],
                         dtype=float)
 
-    def _values(self, wvec: Any, zero: float, one: float) -> Any:
-        """A fresh value buffer with constants and literals filled; the
-        trailing batch axes of ``wvec`` carry through."""
+    def _values(self, wvec: Any, zero: float, one: float, product: Any,
+                total: Any) -> Any:
+        """A fresh value buffer with the constants, the literals
+        (``wvec``, in literal-code layout; its trailing batch axes
+        carry through) and each gap set's slot filled: the ``product``
+        of its variables' ``total`` of two literal weights, ascending."""
         np = _numpy()
         plan = self.plan
-        shape = (self.n,) + wvec.shape[1:]
-        values = np.empty(shape)
+        values = np.empty((plan.size,) + wvec.shape[1:])
         if len(plan.one_pos):
             values[plan.one_pos] = one
         if len(plan.zero_pos):
             values[plan.zero_pos] = zero
         values[plan.lit_pos] = wvec[plan.lit_idx]
+        if plan.fill:
+            gapvals = total(wvec[plan.gv_pos], wvec[plan.gv_neg])
+            for out, index, offsets in plan.fill:
+                if offsets is not None:
+                    values[out] = product.reduceat(gapvals.take(index, 0),
+                                                   offsets)
+                    continue
+                slots = values[out]
+                slots[...] = gapvals.take(index[0], 0)
+                if len(index) == 2:
+                    product(slots, gapvals.take(index[1], 0), out=slots)
         return values
 
     def _pass_stats(self, stats: Optional[Counter],
@@ -368,27 +422,22 @@ class CompiledCircuit:
             if batch is not None:
                 stats.incr("batch_columns", batch)
 
-    def _run(self, name: str, values: Any, gapvals: Any) -> Any:
-        """One forward pass over ``values``: a budget charge, then one
-        gather and one ufunc call per bound step, writing into the
-        step's contiguous slice."""
+    def _run(self, name: str, wvec: Any, zero: float, one: float) -> Any:
+        """One forward pass: a budget charge, the pass's value buffer
+        (:meth:`_values`), then one gather and one ufunc call per bound
+        step, writing into the step's contiguous slice."""
         t0 = time.perf_counter()
         self.kernel._charge()
+        steps, product, total = self._passes[name]
+        values = self._values(wvec, zero, one, product, total)
         take = values.take  # np.take minus its Python-level wrapper
-        for code, out, op, index, operand, gap in self._passes[name]:
+        for code, out, op, index, operand in steps:
             if code == _PAIR:
                 op(take(index, 0), take(operand, 0), out=values[out])
                 continue
             cv = take(index, 0)
-            if gap is not None:
-                # cv[edges] *= (or +=) the edges' gap-variable factors
-                edges, gap_index, gap_offsets, reduce, fold = gap
-                cv[edges] = fold(cv[edges], reduce(gapvals[gap_index],
-                                                   gap_offsets))
             if code == _COPY:
                 values[out] = cv
-            elif code == _BINARY:
-                op(cv[0::2], cv[1::2], out=values[out])
             elif code == _REDUCE:
                 op(cv.reshape(operand + cv.shape[1:]), axis=1,
                    out=values[out])
@@ -401,34 +450,33 @@ class CompiledCircuit:
     # -- queries -------------------------------------------------------------
     def wmc(self, weights: Mapping[int, float],
             stats: Optional[Counter] = None) -> float:
-        plan = self.plan
         wvec = self._weight_vec(weights)
-        gapvals = wvec[plan.gv_pos] + wvec[plan.gv_neg]
-        values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats)
-        self._run("wmc", values, gapvals)
-        return float(values[plan.root])
+        values = self._run("wmc", wvec, zero=0.0, one=1.0)
+        return float(values[self.plan.root])
 
     def wmc_batch(self, weights: Mapping[int, Any],
                   stats: Optional[Counter] = None) -> Any:
-        plan = self.plan
         wvec = self._weight_rows(weights)
-        gapvals = wvec[plan.gv_pos] + wvec[plan.gv_neg]
-        values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats, batch=wvec.shape[1])
-        self._run("wmc", values, gapvals)
-        return values[plan.root].copy()
+        values = self._run("wmc", wvec, zero=0.0, one=1.0)
+        return values[self.plan.root].copy()
 
     def wmc_log_batch(self, log_weights: Mapping[int, Any],
                       stats: Optional[Counter] = None) -> Any:
         np = _numpy()
-        plan = self.plan
         wvec = self._weight_rows(log_weights)
-        gapvals = np.logaddexp(wvec[plan.gv_pos], wvec[plan.gv_neg])
-        values = self._values(wvec, zero=-np.inf, one=0.0)
         self._pass_stats(stats, batch=wvec.shape[1])
-        self._run("log", values, gapvals)
-        return values[plan.root].copy()
+        values = self._run("log", wvec, zero=-np.inf, one=0.0)
+        return values[self.plan.root].copy()
+
+    def _all_ones(self, stats: Optional[Counter]) -> float:
+        """The root of the linear pass with every weight 1."""
+        np = _numpy()
+        self._pass_stats(stats)
+        values = self._run("wmc", np.ones(len(self.plan.lit_list)),
+                           zero=0.0, one=1.0)
+        return float(values[self.plan.root])
 
     def model_count(self, stats: Optional[Counter] = None) -> int:
         """#SAT through the float64 pipeline: exact while every
@@ -442,30 +490,15 @@ class CompiledCircuit:
             raise CodegenUnsupported(
                 f"model count over {num_vars} variables exceeds "
                 f"float64's exact-integer range")
-        np = _numpy()
-        plan = self.plan
-        wvec = np.ones(len(plan.lit_list))
-        gapvals = wvec[plan.gv_pos] + wvec[plan.gv_neg]
-        values = self._values(wvec, zero=0.0, one=1.0)
-        self._pass_stats(stats)
-        self._run("wmc", values, gapvals)
-        self._count = int(round(float(values[plan.root])))
+        self._count = int(round(self._all_ones(stats)))
         return self._count
 
     def sat(self, stats: Optional[Counter] = None) -> bool:
         """Root satisfiability: the all-ones forward pass is positive
         iff some model survives (sums and products of non-negatives;
         float overflow saturates to +inf and stays positive)."""
-        if self._sat_root is not None:
-            return self._sat_root
-        np = _numpy()
-        plan = self.plan
-        wvec = np.ones(len(plan.lit_list))
-        gapvals = wvec[plan.gv_pos] + wvec[plan.gv_neg]
-        values = self._values(wvec, zero=0.0, one=1.0)
-        self._pass_stats(stats)
-        self._run("wmc", values, gapvals)
-        self._sat_root = bool(values[plan.root] > 0.0)
+        if self._sat_root is None:
+            self._sat_root = self._all_ones(stats) > 0.0
         return self._sat_root
 
     def mpe(self, weights: Mapping[int, float],
@@ -477,10 +510,8 @@ class CompiledCircuit:
         np = _numpy()
         plan = self.plan
         wvec = self._weight_vec(weights)
-        gapvals = np.maximum(wvec[plan.gv_pos], wvec[plan.gv_neg])
-        values = self._values(wvec, zero=-np.inf, one=1.0)
         self._pass_stats(stats)
-        self._run("max", values, gapvals)
+        values = self._run("max", wvec, zero=-np.inf, one=1.0)
         pos = plan.pos
         item = values.item
         return float(values[plan.root]), self.kernel._traceback(
@@ -494,9 +525,8 @@ class CompiledCircuit:
             (float(bool(assignment[abs(lit)]) == (lit > 0))
              for lit in plan.lit_list),
             dtype=float, count=len(plan.lit_list))
-        values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats)
-        self._run("eval", values, None)
+        values = self._run("max", wvec, zero=0.0, one=1.0)
         return bool(values[plan.root] > 0.5)
 
     def evaluate_batch(self, assignment: Mapping[int, Any],
@@ -511,9 +541,8 @@ class CompiledCircuit:
             column = np.asarray(assignment[abs(lit)], dtype=bool)
             rows.append(column if lit > 0 else ~column)
         wvec = np.array(rows, dtype=float)
-        values = self._values(wvec, zero=0.0, one=1.0)
         self._pass_stats(stats, batch=wvec.shape[1])
-        self._run("eval", values, None)
+        values = self._run("max", wvec, zero=0.0, one=1.0)
         return values[plan.root] > 0.5
 
 

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import (Any, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Union)
+                    Optional, Sequence, Set, Tuple, Union)
 
 from ..limits.anytime import anytime_count
 from ..limits.budget import Budget, BudgetExceeded
@@ -512,27 +513,55 @@ def _wmc_batch(kernel: IrKernel, num_vars: Optional[int],
                weight_batch: Sequence[Mapping[int, float]],
                scope: Optional[Set[int]]) -> List[float]:
     """The batch as one ``(2·top+1, rows)`` table, literal ``lit`` on
-    row ``top + lit``: every cell starts at 1.0, each batch row's wire
-    entries are written into its column by index, and the kernel
+    row ``top + lit``: every cell starts at 1.0, the wire entries of
+    all rows are written by one indexed assignment, and the kernel
     reads views of the table's rows."""
     import numpy
     if not weight_batch:
         return []
     top = _top(kernel, num_vars)
-    table = numpy.ones((2 * top + 1, len(weight_batch)))
-    for column, wire in enumerate(weight_batch):
-        wire = dict(wire or {})
+    rows = [wire if type(wire) is dict else dict(wire or {})
+            for wire in weight_batch]
+    sizes = numpy.fromiter(map(len, rows), numpy.intp, count=len(rows))
+    lits, values = _batch_entries(rows, int(sizes.sum()), top)
+    table = numpy.ones((2 * top + 1, len(rows)))
+    table[top + lits, numpy.repeat(numpy.arange(len(rows)), sizes)] = \
+        values
+    packed = dict(zip(range(-top, top + 1), table))  # lit: row top+lit
+    del packed[0]
+    return [float(v) for v in kernel.wmc_batch(packed, scope=scope)]
+
+
+def _batch_entries(rows: List[Dict[Any, Any]], count: int,
+                   top: int) -> Tuple[Any, Any]:
+    """Every row's keys (intp) and values (float64), in row order.
+
+    Integer keys are read and range-checked for the whole batch at
+    once, then the values.  A literal outside ``±1..top``, or any
+    other key, reads the batch row by row instead: each row's own
+    comparisons raise for its first bad literal before the next row
+    is read, and other keys they pass (floats in range) are truncated
+    like ``int()``."""
+    import numpy
+    keys = chain.from_iterable
+    try:
+        if type(sum(keys(rows))) is int:  # every key an integer
+            lits = numpy.fromiter(keys(rows), numpy.intp, count=count)
+            if not ((lits == 0) | (lits < -top) | (lits > top)).any():
+                return lits, numpy.fromiter(
+                    keys(map(dict.values, rows)), float, count=count)
+    except (TypeError, OverflowError):  # no number, or past intp
+        pass
+    row_lits: List[Any] = []
+    row_values: List[Any] = []
+    for wire in rows:
         if wire and (0 in wire or min(wire) < -top or max(wire) > top):
             for lit in wire:  # the first bad literal names the error
                 _check_literal(lit, top)
-        # intp truncates like int(); float64 converts like float()
-        lits = numpy.fromiter(wire, dtype=numpy.intp, count=len(wire))
-        table[top + lits, column] = numpy.fromiter(
-            wire.values(), dtype=float, count=len(wire))
-    packed = {lit: table[top + lit]
-              for var in range(1, top + 1) for lit in (var, -var)}
-    values = kernel.wmc_batch(packed, scope=scope)
-    return [float(v) for v in values]
+        row_lits.append(numpy.fromiter(wire, numpy.intp, count=len(wire)))
+        row_values.append(numpy.fromiter(wire.values(), float,
+                                         count=len(wire)))
+    return numpy.concatenate(row_lits), numpy.concatenate(row_values)
 
 
 def explain_ir(ir: CircuitIR, instance: Mapping[int, bool], *,

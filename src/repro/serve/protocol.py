@@ -1,7 +1,8 @@
 """Wire protocol: request parsing and validation.
 
 Everything a client can get wrong is caught here and raised as
-:class:`ProtocolError`, which the app maps to a 400 — malformed JSON,
+:class:`ProtocolError`, which the app maps to a 400 — malformed JSON
+(requests are strict JSON: RFC 8259 has no ``NaN`` or ``Infinity``),
 bad weights, oversized bodies, unknown queries.  Workers only ever see
 validated, canonical payloads.
 """
@@ -9,6 +10,7 @@ validated, canonical payloads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -79,9 +81,18 @@ def _bool_flag(data: Mapping[str, Any], name: str) -> bool:
     return value
 
 
+def _refuse_constant(token: str) -> Any:
+    raise ProtocolError(f"invalid JSON body: {token} is not a JSON "
+                        "number")
+
+
+#: the request body decoder: strict JSON, so NaN and Infinity are 400s
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _load_json(body: bytes) -> Dict[str, Any]:
     try:
-        data = json.loads(body.decode("utf-8"))
+        data = _DECODER.decode(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"invalid JSON body: {error}") from error
     if not isinstance(data, dict):
@@ -129,7 +140,13 @@ def _decode_weights(raw: Any, what: str = "weights"
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ProtocolError(
                 f"{what}[{key}] must be a number, got {value!r}")
-        out[lit] = float(value)
+        try:
+            weight = float(value)
+        except OverflowError:  # an integer past float range
+            weight = math.inf
+        if not math.isfinite(weight):  # e.g. 1e400 parses to inf
+            raise ProtocolError(f"{what}[{key}] must be a finite number")
+        out[lit] = weight
     return out
 
 

@@ -17,6 +17,7 @@ import random
 import re
 import subprocess
 import sys
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -169,7 +170,9 @@ class TestFacadeBatches:
             rows = [random_weights(range(1, self.NUM_VARS + 1), rng,
                                    zero_fraction=0.1 * (j % 3))
                     for j in range(6)]
-            rows += [{1: 0.3, -4: 0.7, 9: 2.5}, {}]
+            shared = rows[0]
+            rows += [{1: 0.3, -4: 0.7, 9: 2.5}, {}, None, shared,
+                     MappingProxyType(rows[1]), shared]
             reply = facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
                                     weight_batch=rows)
             assert reply["batch"] == len(rows)
@@ -194,13 +197,52 @@ class TestFacadeBatches:
     @pytest.mark.parametrize("num_vars", [NUM_VARS, None])
     @pytest.mark.parametrize("beyond", [False, True])
     def test_bad_literal_in_row_three(self, num_vars, beyond):
+        """The first bad literal of the first bad row names the error,
+        whatever later rows hold."""
         ir, _ = self.circuit()
         top = num_vars or max(ir_kernel(ir).varsets[ir.n - 1])
         lit = -(top + 1) if beyond else 0
-        rows = [{1: 0.5, -1: 0.5}] * 3 + [{2: 0.25, lit: 0.5}]
+        rows = [{1: 0.5, -1: 0.5}] * 3 + \
+            [{2: 0.25, lit: 0.5, top + 3: 0.5}, {0: 0.5, -(top + 2): 0.5}]
         message = f"weight literal {lit} outside 1..{top} (or its negation)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             facade.query_ir(ir, "wmc", num_vars=num_vars,
+                            weight_batch=rows)
+
+    @pytest.mark.parametrize("key, twin", [
+        (2.0, 2), (np.int64(-3), -3), (True, 1),
+        (1.5, 1),  # a float in range truncates like int()
+    ])
+    def test_number_keys_answer_like_their_integers(self, key, twin):
+        ir, _ = self.circuit()
+        rows = [{1: 0.5}, {key: 0.25, 4: 0.5}]
+        twins = [{1: 0.5}, {twin: 0.25, 4: 0.5}]
+        assert facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
+                               weight_batch=rows) == \
+            facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
+                            weight_batch=twins)
+
+    @pytest.mark.parametrize("key, error, message", [
+        (10.5, ValueError, "weight literal 10.5 outside 1..10 "
+                           "(or its negation)"),
+        (0.0, ValueError, "weight literal 0.0 outside 1..10 "
+                          "(or its negation)"),
+        (False, ValueError, "weight literal False outside 1..10 "
+                            "(or its negation)"),
+        (2 ** 70, ValueError, f"weight literal {2 ** 70} outside 1..10 "
+                              f"(or its negation)"),
+        ("1", TypeError, "'<' not supported between instances of 'str' "
+                         "and 'int'"),
+        (None, TypeError, "'<' not supported between instances of "
+                          "'NoneType' and 'int'"),
+    ])
+    def test_other_keys_are_rejected_as_before(self, key, error, message):
+        """Keys that are not integers in range fail in their row's own
+        comparisons, with the error they always raised."""
+        ir, _ = self.circuit()
+        rows = [{1: 0.5}, {4: 0.5, key: 0.25}, {-(self.NUM_VARS + 1): 1}]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            facade.query_ir(ir, "wmc", num_vars=self.NUM_VARS,
                             weight_batch=rows)
 
     def test_caller_maps_are_not_mutated(self):

@@ -60,6 +60,42 @@ def fresh_kernel(cnf):
 
 # -- agreement corpus: codegen vs interpreter --------------------------------
 
+def assert_plan_matches_interpreter(kernel, monkeypatch, weights,
+                                    weight_rows, assign, assign_rows):
+    """Every query the codegen backend serves (scalar, batch, log-space)
+    equals the interpreted kernel's answer on ``kernel``'s circuit."""
+    with np.errstate(divide="ignore"):
+        log_rows = {lit: np.log(row) for lit, row in weight_rows.items()}
+    monkeypatch.setenv("REPRO_BACKEND", "interp")
+    kernel.invalidate()
+    expected = {
+        "count": kernel.model_count(),
+        "sat": kernel.sat(),
+        "wmc": kernel.wmc(weights),
+        "mpe": kernel.mpe(weights),
+        "evaluate": kernel.evaluate(assign),
+        "wmc_batch": kernel.wmc_batch(weight_rows),
+        "wmc_log_batch": kernel.wmc_log_batch(log_rows),
+        "evaluate_batch": kernel.evaluate_batch(assign_rows),
+    }
+    kernel.invalidate()
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    assert kernel.model_count() == expected["count"]
+    assert kernel.sat() == expected["sat"]
+    assert kernel.wmc(weights) == pytest.approx(expected["wmc"], rel=1e-9)
+    value, model = kernel.mpe(weights)
+    assert value == pytest.approx(expected["mpe"][0], rel=1e-9)
+    assert model == expected["mpe"][1]
+    assert kernel.evaluate(assign) == expected["evaluate"]
+    assert np.allclose(kernel.wmc_batch(weight_rows),
+                       expected["wmc_batch"], rtol=1e-9)
+    assert np.allclose(kernel.wmc_log_batch(log_rows),
+                       expected["wmc_log_batch"], rtol=1e-9, atol=1e-9)
+    assert list(kernel.evaluate_batch(assign_rows)) == \
+        list(expected["evaluate_batch"])
+    assert kernel._compiled() is not None  # the plan answered
+
+
 def test_codegen_matches_interpreter_on_random_circuits(monkeypatch):
     """100 random d-DNNFs: every query the codegen backend serves
     (scalar, batch, log-space) equals the interpreted kernel."""
@@ -73,41 +109,158 @@ def test_codegen_matches_interpreter_on_random_circuits(monkeypatch):
         weight_rows = {
             lit: np.array([rng.uniform(0.1, 1.0) for _ in range(batch)])
             for v in variables for lit in (v, -v)}
-        log_rows = {lit: np.log(row)
-                    for lit, row in weight_rows.items()}
         assign = {v: rng.random() < 0.5 for v in variables}
         assign_rows = {v: np.array([rng.random() < 0.5
                                     for _ in range(batch)])
                        for v in variables}
+        assert_plan_matches_interpreter(kernel, monkeypatch, weights,
+                                        weight_rows, assign, assign_rows)
 
-        monkeypatch.setenv("REPRO_BACKEND", "interp")
-        expected = {
-            "count": kernel.model_count(),
-            "sat": kernel.sat(),
-            "wmc": kernel.wmc(weights),
-            "mpe": kernel.mpe(weights),
-            "evaluate": kernel.evaluate(assign),
-            "wmc_batch": kernel.wmc_batch(weight_rows),
-            "wmc_log_batch": kernel.wmc_log_batch(log_rows),
-            "evaluate_batch": kernel.evaluate_batch(assign_rows),
-        }
-        kernel.invalidate()
-        monkeypatch.setenv("REPRO_BACKEND", "codegen")
-        assert kernel.model_count() == expected["count"]
-        assert kernel.sat() == expected["sat"]
-        assert kernel.wmc(weights) == pytest.approx(expected["wmc"],
-                                                    rel=1e-9)
-        value, model = kernel.mpe(weights)
-        assert value == pytest.approx(expected["mpe"][0], rel=1e-9)
-        assert model == expected["mpe"][1]
-        assert kernel.evaluate(assign) == expected["evaluate"]
-        assert np.allclose(kernel.wmc_batch(weight_rows),
-                           expected["wmc_batch"], rtol=1e-9)
-        assert np.allclose(kernel.wmc_log_batch(log_rows),
-                           expected["wmc_log_batch"], rtol=1e-9,
-                           atol=1e-9)
-        assert list(kernel.evaluate_batch(assign_rows)) == \
-            list(expected["evaluate_batch"])
+
+# -- or-gap slots -------------------------------------------------------------
+
+#: variables of the hand-made gapped circuits
+GAP_VARS = 24
+
+
+def gapped_circuit(seed):
+    """A hand-made circuit whose or-gates leave variables out of their
+    edges, all at one level (every or-gate sits over literals and
+    and-gates of literals, so at level 2):
+
+    * gates ``or(and(1..k), -(k + 6))`` with gap sets of 1 to 5
+      variables;
+    * 300 random binary gates ``or(and(x, y), ±z)``: a binary class of
+      600 edges, whose one- and two-variable sets recur across gates;
+    * stragglers of arity 1 (an or-gate over one child mentions all of
+      its variables, so it has no gap), 3 (mixing gapped and ungapped
+      edges) and 4, in one mixed run after the binary class's run, so
+      the edge band is rewritten between the two."""
+    rng = random.Random(seed)
+    b = IrBuilder()
+    lit = b.literal
+    gates = []
+    for k in range(1, 6):
+        gates.append(b.raw_or((b.raw_and(tuple(map(lit, range(1, k + 1)))),
+                               lit(-(k + 6)))))
+    binary = set()
+    while len(binary) < 300:
+        x, y, z = rng.sample(range(1, GAP_VARS + 1), 3)
+        binary.add(b.raw_or((b.raw_and((lit(x), lit(-y))),
+                             lit(z if rng.random() < 0.5 else -z))))
+    gates.extend(sorted(binary))
+    gates.append(b.raw_or((b.raw_and((lit(3), lit(4))),)))
+    gates.append(b.raw_or((b.raw_and((lit(1), lit(2))),
+                           b.raw_and((lit(-1), lit(-2))), lit(1))))
+    gates.append(b.raw_or((lit(5), lit(-6), lit(7),
+                           b.raw_and((lit(-5), lit(6), lit(-7))))))
+    # the root: an or over conjunctions of eight gates each (one
+    # conjunction of every gate could underflow)
+    groups = [b.raw_and(tuple(gates[i:i + 8]))
+              for i in range(0, len(gates), 8)]
+    return ir_kernel(b.finish(b.raw_or(tuple(groups))))
+
+
+def test_gapped_plan_lays_out_sets_and_a_shared_band(monkeypatch):
+    """The circuit reaches what it is built to: sets of 1 to 5 gate
+    variables, one set on several edges, and two edge and-steps at one
+    level writing the same band slots."""
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    kernel = gapped_circuit(1)
+    kernel.invalidate()
+    plan = kernel._compiled().plan
+    edges = [gap for gaps in kernel.or_gap_vars for gap in gaps if gap]
+    assert {1, 2, 3, 4, 5} <= {len(gap) for gap in edges}
+    assert len(set(edges)) < len(edges)
+    band_steps = [run for run in plan.steps if run[1].start >= kernel.n]
+    assert len(band_steps) >= 2
+    assert len({run[1].start for run in band_steps}) == 1
+    assert max(run[1].stop for run in band_steps) == plan.size
+    assert plan.size - band_steps[0][1].start < len(edges)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_codegen_matches_interpreter_on_gapped_circuits(seed,
+                                                        monkeypatch):
+    """Every plan pass agrees with the interpreter across gap slots and
+    the shared edge band, also with a gap variable whose literals both
+    weigh 0 (a zero slot) and with zero weights in the batches (``-inf``
+    log weights)."""
+    rng = random.Random(seed)
+    kernel = gapped_circuit(seed)
+    variables = range(1, GAP_VARS + 1)
+    batch = 4
+    weight_rows = {lit: np.array([rng.uniform(0.1, 1.0)
+                                  if rng.random() > 0.1 else 0.0
+                                  for _ in range(batch)])
+                   for v in variables for lit in (v, -v)}
+    # gap variable 8 weighs nothing in column 0
+    weight_rows[8][0] = weight_rows[-8][0] = 0.0
+    assign_rows = {v: np.array([rng.random() < 0.5
+                                for _ in range(batch)])
+                   for v in variables}
+    for zero_gap in (False, True):
+        weights = random_weights(rng, variables)
+        if zero_gap:
+            weights[8] = weights[-8] = 0.0
+        assign = {v: rng.random() < 0.5 for v in variables}
+        assert_plan_matches_interpreter(kernel, monkeypatch, weights,
+                                        weight_rows, assign, assign_rows)
+
+
+def test_gap_set_product_is_taken_before_the_edge(monkeypatch):
+    """Across a two-variable gap the plan computes
+    ``child * (g1 * g2)``, the interpreter ``(child * g1) * g2``: the
+    gap set's slot holds the product of its variables, ascending."""
+    builder = IrBuilder()
+    lit = builder.literal
+    # edge 0: literal 1, gap {2, 3}; edge 1: and(-1, 2, 3), no gap
+    root = builder.raw_or((lit(1), builder.raw_and((lit(-1), lit(2),
+                                                    lit(3)))))
+    kernel = ir_kernel(builder.finish(root))
+    assert kernel.or_gap_vars[kernel.n - 1] == ((2, 3), ())
+    rng = random.Random(5)
+    while True:
+        weights = random_weights(rng, (1, 2, 3))
+        child = weights[1]
+        g1, g2 = weights[2] + weights[-2], weights[3] + weights[-3]
+        if child * (g1 * g2) != (child * g1) * g2:
+            break
+    other = weights[-1] * weights[2] * weights[3]
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    kernel.invalidate()
+    assert kernel.wmc(weights) == child * (g1 * g2) + other
+    rows = {lit: np.array([w, w]) for lit, w in weights.items()}
+    assert list(kernel.wmc_batch(rows)) == [child * (g1 * g2) + other] * 2
+    monkeypatch.setenv("REPRO_BACKEND", "interp")
+    kernel.invalidate()
+    assert kernel.wmc(weights) == (child * g1) * g2 + other
+
+
+def test_long_gap_sets_keep_the_ufunc_reduction(monkeypatch):
+    """A set of three or more variables is filled by the semiring
+    product's own ``reduceat``, as the per-edge fold was: numpy's add
+    reduction adds a segment's head to the sum of its tail, so a log
+    batch across the gap {2, 3, 4} reads ``g2 + (g3 + g4)``, not
+    ``(g2 + g3) + g4``."""
+    builder = IrBuilder()
+    lit = builder.literal
+    tail = builder.raw_and((lit(-1), builder.raw_and((
+        lit(2), builder.raw_and((lit(3), lit(4)))))))
+    kernel = ir_kernel(builder.finish(builder.raw_or((lit(1), tail))))
+    assert kernel.or_gap_vars[kernel.n - 1] == ((2, 3, 4), ())
+    rng = random.Random(3)
+    while True:
+        logs = {lit: np.log(np.array([w]))
+                for lit, w in random_weights(rng, (1, 2, 3, 4)).items()}
+        g2, g3, g4 = (np.logaddexp(logs[v], logs[-v]) for v in (2, 3, 4))
+        if g2 + (g3 + g4) != (g2 + g3) + g4:
+            break
+    monkeypatch.setenv("REPRO_BACKEND", "codegen")
+    kernel.invalidate()
+    assert kernel.wmc_log_batch(logs) == np.logaddexp(
+        logs[1] + np.add.reduceat(np.array([g2, g3, g4]), [0])[0],
+        logs[-1] + (logs[2] + (logs[3] + logs[4])))
 
 
 def test_codegen_derivatives_still_interpreted(monkeypatch):

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import threading
 
 import pytest
@@ -168,6 +169,28 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             parse_query_request(body)
 
+    @pytest.mark.parametrize("body, named", [
+        (b'{"key": "k", "query": "wmc", "weights": {"1": NaN}}', "NaN"),
+        (b'{"key": "k", "query": "wmc", "weights": {"-1": Infinity}}',
+         "Infinity"),
+        (b'{"key": "k", "query": "wmc", "weight_batch": '
+         b'[{"1": -Infinity}]}', "-Infinity"),
+        (b'{"key": "k", "query": "wmc", "weights": {"2": 1e400}}',
+         "weights[2]"),
+        (b'{"key": "k", "query": "wmc", "weight_batch": '
+         b'[{"1": 0.5}, {"-2": -1e400}]}', "weight_batch[1][-2]"),
+        (b'{"key": "k", "query": "wmc", "weights": {"3": 1' + b"0" * 400 +
+         b"}}", "weights[3]"),
+        (b'{"key": "k", "deadline_s": NaN}', "NaN"),
+    ], ids=["nan", "infinity", "batch-minus-infinity", "1e400",
+            "batch-minus-1e400", "integer-past-float", "nan-deadline"])
+    def test_non_finite_numbers_are_refused(self, body, named):
+        """Requests are strict JSON, and a weight must be finite: a
+        NaN weight would be served a NaN count."""
+        with pytest.raises(ProtocolError, match=re.escape(named)) as caught:
+            parse_query_request(body)
+        assert caught.value.status == 400
+
 
 class TestPercentile:
     def test_basics(self):
@@ -238,8 +261,9 @@ class TestServer:
 
     @staticmethod
     def _strict_query(server, body):
-        """POST /query and decode the raw reply with a parser that
-        refuses NaN and Infinity (RFC 8259 has neither)."""
+        """POST /query (``body`` as it is when bytes, JSON-encoded
+        otherwise) and decode the raw reply with a parser that refuses
+        NaN and Infinity (RFC 8259 has neither)."""
         import http.client
 
         def refuse(token):
@@ -247,8 +271,9 @@ class TestServer:
         connection = http.client.HTTPConnection(*server.address,
                                                 timeout=60)
         try:
-            connection.request("POST", "/query", json.dumps(body),
-                               {"Content-Type": "application/json"})
+            connection.request("POST", "/query", body if isinstance(
+                body, bytes) else json.dumps(body),
+                {"Content-Type": "application/json"})
             response = connection.getresponse()
             return response.status, json.loads(response.read(),
                                                parse_constant=refuse)
@@ -276,6 +301,17 @@ class TestServer:
                      "num_vars": 2})
         assert status == 200
         assert mpe["result"] == "-inf"
+
+    def test_non_finite_weights_are_400(self, server, client):
+        _, compiled = client.compile(SMALL)
+        key = compiled["key"].encode()
+        for weights in (b'"weights": {"1": NaN}',
+                        b'"weights": {"1": 1e400}',
+                        b'"weight_batch": [{"1": 0.5}, {"2": Infinity}]'):
+            status, reply = self._strict_query(
+                server, b'{"key": "' + key + b'", "query": "wmc", ' +
+                weights + b"}")
+            assert status == 400 and reply["status"] == "invalid"
 
     def test_unknown_key_is_404(self, client):
         status, body = client.query("f" * 64, "count")

@@ -9,8 +9,12 @@ lines mean the two builds wrote the same bytes and counters and gave
 the same answers on that part of the corpus.
 
 The corpus: the ``tools/proof_check.py`` inputs (its edge cases plus
-``--random 25 --seed 17``) and the first ``--cold`` inputs of
-``perfbench.inputs.cold_input`` for each ``--seeds`` value.  Per input:
+``--random 25 --seed 17``), the first ``--cold`` inputs of
+``perfbench.inputs.cold_input`` for each ``--seeds`` value, and the
+``warm`` part: the first ``WARM_KBS`` knowledge bases of
+``perfbench.inputs.WARM_CORPUS`` at seed 1 (72-144 variables, whose
+or-gates leave out sets of several variables, which the small cold
+inputs rarely do).  Per input:
 
 * ``nnf`` / ``proof``: the ``.nnf`` bytes written by
   ``facade.compile_to_store`` into a fresh store with ``proof=False``
@@ -25,7 +29,9 @@ The corpus: the ``tools/proof_check.py`` inputs (its edge cases plus
 * ``queries``: on the ``proof=False`` store, the ``facade.query_artifact``
   replies to ``count``, ``marginals``, ``wmc`` and ``mpe`` (the input's
   weights) and to one ``weight_batch`` of the weights and their
-  phase-swapped twin (floats by ``repr``);
+  phase-swapped twin (floats by ``repr``); on a warm knowledge base
+  the weights are its first ``perfbench.inputs.kb_weights`` map, and
+  its 16- and 64-row batches are queried too;
 * ``kernel``: on a fresh ``IrKernel`` over the stored circuit, the
   kernel surfaces the facade never reaches: ``sat``, ``sat_model``,
   ``evaluate`` and ``evaluate_batch`` on seeded assignments,
@@ -39,6 +45,8 @@ The corpus: the ``tools/proof_check.py`` inputs (its edge cases plus
 * ``store``: the file extensions that store holds after those queries,
   printed as their union over the part rather than digested, so a
   change in what the store keeps reads directly.
+
+The warm part prints only its ``queries`` and ``kernel`` digests.
 
 The query digests read the answers of whichever evaluator
 ``$REPRO_BACKEND`` selects; run both to cover the plan and the
@@ -69,6 +77,10 @@ COUNTERS = ("decisions", "propagations", "clause_visits", "cache_hits",
 
 QUERIES = ("count", "marginals", "wmc", "mpe")
 
+#: knowledge bases of the warm part, and the seed they are drawn at
+WARM_KBS = 4
+WARM_SEED = 1
+
 
 def corpus(cold: int, seeds):
     """``(part name, [(dimacs, weights), ...])`` for every corpus part."""
@@ -93,18 +105,20 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def answers(store, ticket, weights) -> list:
+def answers(store, ticket, weights, batches) -> list:
     """The facade's replies on the stored circuit, one per query kind
-    plus one weight batch."""
+    plus one per weight batch: the weights and their phase-swapped
+    twin, then each of ``batches``."""
     from repro.ir import facade
     replies = [facade.query_artifact(
         store, ticket.key, query, num_vars=ticket.num_vars,
         weights=weights if query in ("wmc", "mpe") else None)
         for query in QUERIES]
     swapped = {lit: weights[-lit] for lit in weights}
-    replies.append(facade.query_artifact(
-        store, ticket.key, "wmc", num_vars=ticket.num_vars,
-        weight_batch=[weights, swapped]))
+    for batch in [[weights, swapped], *batches]:
+        replies.append(facade.query_artifact(
+            store, ticket.key, "wmc", num_vars=ticket.num_vars,
+            weight_batch=batch))
     return replies
 
 
@@ -198,7 +212,7 @@ def record(text: str, weights, work: Path, psdd: bool) -> dict:
         if proof:
             out["proof"] = _sha(store.path_for(ticket.key, "proof"))
         else:
-            out["queries"] = answers(store, ticket, weights)
+            out["queries"] = answers(store, ticket, weights, [])
             out["store"] = sorted({path.name.partition(".")[2]
                                    for path in store.root.glob("*/*")})
             out["kernel"] = kernel_answers(store.load_nnf(ticket.key),
@@ -216,6 +230,27 @@ def record(text: str, weights, work: Path, psdd: bool) -> dict:
     if psdd:
         out["psdd"] = psdd_answers(text, ticket.key)
     return out
+
+
+def warm_records(work: Path) -> list:
+    """The ``queries`` and ``kernel`` answers on each warm knowledge
+    base."""
+    from perfbench.inputs import WARM_CORPUS, kb_input, kb_weights
+    from repro.ir import facade
+    from repro.ir.store import ArtifactStore
+    records = []
+    for slot, spec in enumerate(WARM_CORPUS[:WARM_KBS]):
+        store = ArtifactStore(Path(tempfile.mkdtemp(dir=work)))
+        ticket = facade.compile_ticket(
+            kb_input(WARM_SEED, "warm", slot, spec))
+        facade.compile_to_store(ticket, store)
+        maps, batches = kb_weights(WARM_SEED, "warm", slot,
+                                   ticket.num_vars)
+        records.append({
+            "queries": answers(store, ticket, maps[0], batches),
+            "kernel": kernel_answers(store.load_nnf(ticket.key),
+                                     ticket.num_vars, ticket.key)})
+    return records
 
 
 def digest(records, fields) -> str:
@@ -254,6 +289,11 @@ def main(argv=None) -> int:
                   + (f" psdd {digest(records, ['psdd'])}" if with_psdd
                      else "")
                   + f" store {','.join(kinds)}", flush=True)
+        records = warm_records(Path(tmp))
+        dump["warm"] = records
+        print(f"warm seed {WARM_SEED}: {len(records)} KBs"
+              f" | queries {digest(records, ['queries'])}"
+              f" kernel {digest(records, ['kernel'])}", flush=True)
     if args.dump:
         Path(args.dump).write_text(json.dumps(dump))
     return 0
