@@ -77,7 +77,7 @@ Term = FrozenSet[int]
 # monotone reason-DAG node kinds (private to this module)
 _K_TRUE, _K_FALSE, _K_LIT, _K_AND, _K_OR = range(5)
 
-#: DAG indices of the shared constant nodes
+#: indices of the shared constant nodes while a reason DAG is built
 _TRUE, _FALSE = 0, 1
 
 #: sentinel: a probe aborted by budget expiry (distinct from "no
@@ -97,10 +97,11 @@ _NEGATIVE_DECISION = (
 class ReasonGraph:
     """The complete reason of a decision, as a monotone DAG.
 
-    Nodes live in creation order (children precede parents); indices
-    0/1 are the shared TRUE/FALSE constants.  ``term`` is the sorted
-    tuple of instance literals the graph can mention — every
-    sufficient reason is a subset of it.
+    The nodes are exactly those reachable from ``root``, in creation
+    order (children precede parents); ``size`` counts them, and each
+    :meth:`evaluate` walks them once.  ``term`` is the sorted tuple of
+    instance literals the graph mentions — every sufficient reason is
+    a subset of it.
     """
 
     __slots__ = ("kinds", "lits", "children", "root", "term", "size")
@@ -382,8 +383,9 @@ def reason_graph(ir: CircuitIR, instance: Mapping[int, bool], *,
         raise ValueError(_NEGATIVE_DECISION)
     root = reasons[n - 1]
 
-    # the term is the instance literals *reachable* from the root —
-    # anything else can never join a reason, so probes skip it
+    # keep only the nodes reachable from the root: the others can
+    # never change its value, so probes neither walk nor charge them,
+    # and the term is the instance literals among those kept
     reachable: Set[int] = set()
     stack = [root]
     while stack:
@@ -392,10 +394,15 @@ def reason_graph(ir: CircuitIR, instance: Mapping[int, bool], *,
             continue
         reachable.add(idx)
         stack.extend(g_children[idx])
+    keep = sorted(reachable)  # creation order: children first
+    index = {old: new for new, old in enumerate(keep)}
     term = tuple(sorted(
-        (g_lits[idx] for idx in reachable if g_kinds[idx] == _K_LIT),
+        (g_lits[idx] for idx in keep if g_kinds[idx] == _K_LIT),
         key=abs))
-    return ReasonGraph(g_kinds, g_lits, g_children, root, term)
+    return ReasonGraph(
+        [g_kinds[idx] for idx in keep], [g_lits[idx] for idx in keep],
+        [tuple(index[c] for c in g_children[idx]) for idx in keep],
+        index[root], term)
 
 
 def count_oracle(ir: CircuitIR, instance: Mapping[int, bool], *,

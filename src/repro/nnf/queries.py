@@ -16,10 +16,10 @@ All single-pass queries run on the one
 :class:`~repro.ir.kernel.IrKernel` of the root's interned IR
 (:func:`get_kernel`): the kernel is built once per circuit (cached on
 its manager) and repeated queries reuse its precomputed topological
-order and or-gate gap data.  The seed's dict-per-call implementations
-survive in :mod:`repro.nnf.queries_legacy` as the benchmark baseline
-and cross-check reference.  Each query takes an optional ``stats``
-:class:`~repro.perf.instrument.Counter` that accumulates a
+order and or-gate gap data.  The seed's dict-per-call walkers live on
+in ``tests/oracles/nnf_walkers.py``, the reference the cross-check
+suites compare these queries against.  Each query takes an optional
+``stats`` :class:`~repro.perf.instrument.Counter` that accumulates a
 ``nodes_visited`` count.
 """
 
@@ -97,11 +97,16 @@ def weighted_model_count(root: NnfNode, weights: Weights,
     return get_kernel(root).wmc(weights, stats, scope=variables)
 
 
-def _as_weight_batch(root: NnfNode, weights, variables):
-    """Accept either literal→array batches or sequences of weight maps."""
+def _as_weight_batch(kernel: IrKernel, weights, variables):
+    """Accept either literal→array batches or sequences of weight maps.
+
+    The maps are packed over the kernel's variable set, which the
+    kernel already holds: walking the NNF DAG for the same set would
+    cost more than the batch pass itself on a large circuit.
+    """
     if isinstance(weights, Mapping):
         return weights
-    pack_vars = set(root.variables())
+    pack_vars = set(kernel.variables())
     if variables is not None:
         pack_vars |= set(variables)
     return pack_weight_batch(list(weights), sorted(pack_vars))
@@ -119,8 +124,9 @@ def weighted_model_count_batch(root: NnfNode, weights,
     ``j``; ``variables`` widens over absent variables exactly like the
     scalar query.
     """
-    batch = _as_weight_batch(root, weights, variables)
-    return get_kernel(root).wmc_batch(batch, stats, scope=variables)
+    kernel = get_kernel(root)
+    batch = _as_weight_batch(kernel, weights, variables)
+    return kernel.wmc_batch(batch, stats, scope=variables)
 
 
 def weighted_model_count_log_batch(root: NnfNode, weights,
@@ -132,12 +138,12 @@ def weighted_model_count_log_batch(root: NnfNode, weights,
     on large circuits whose per-model weights underflow a float.
     """
     import numpy as np
-    batch = _as_weight_batch(root, weights, variables)
+    kernel = get_kernel(root)
+    batch = _as_weight_batch(kernel, weights, variables)
     with np.errstate(divide="ignore"):
         log_batch = {lit: np.log(np.asarray(column, dtype=float))
                      for lit, column in batch.items()}
-    return get_kernel(root).wmc_log_batch(log_batch, stats,
-                                          scope=variables)
+    return kernel.wmc_log_batch(log_batch, stats, scope=variables)
 
 
 def evaluate_batch(root: NnfNode, assignments,
@@ -148,10 +154,11 @@ def evaluate_batch(root: NnfNode, assignments,
     packed variable → length-N bool array mapping; returns a length-N
     bool array.
     """
+    kernel = get_kernel(root)
     if not isinstance(assignments, Mapping):
         assignments = pack_assignment_batch(
-            list(assignments), sorted(root.variables()))
-    return get_kernel(root).evaluate_batch(assignments, stats)
+            list(assignments), sorted(kernel.variables()))
+    return kernel.evaluate_batch(assignments, stats)
 
 
 def enumerate_models(root: NnfNode,

@@ -11,8 +11,7 @@ from ..logic.formula import (And as FAnd, Constant, Formula, Lit,
 from .manager import ObddManager, ObddNode
 
 __all__ = ["restrict", "exists", "forall", "compose", "flip_variable",
-           "model_count", "model_count_legacy", "weighted_model_count",
-           "weighted_model_count_legacy", "enumerate_models",
+           "model_count", "weighted_model_count", "enumerate_models",
            "compile_formula", "compile_cnf_obdd", "compile_nnf_obdd",
            "minimum_cardinality"]
 
@@ -90,8 +89,7 @@ def model_count(node: ObddNode,
 
     Runs on the shared IR kernel (:mod:`repro.ir`): the OBDD lowers
     once (cached on its manager) and the kernel's gap-aware counting
-    pass replaces the level-gap scheme of the seed — which survives as
-    :func:`model_count_legacy`.
+    pass replaces the level-gap scheme of the seed.
     """
     if variables is None:
         variables = node.manager.var_order
@@ -99,103 +97,17 @@ def model_count(node: ObddNode,
     return ir_kernel(obdd_to_ir(node)).model_count(scope=variables)
 
 
-def model_count_legacy(node: ObddNode,
-                       variables: Sequence[int] | None = None) -> int:
-    """The seed counting pass: one value per node, normalized to the
-    variable-order tail, scaled across level gaps by shifting.
-
-    .. deprecated:: not for new call sites; kept as the
-       cross-check reference and benchmark baseline.
-    """
-    manager = node.manager
-    if variables is None:
-        variables = manager.var_order
-    variables = list(variables)
-    positions = {v: i for i, v in enumerate(variables)}
-    missing = node.variables() - set(variables)
-    if missing:
-        raise ValueError(f"count variables missing {sorted(missing)}")
-    n = len(variables)
-    # One iterative pass, one value per node: counts[id] is the model
-    # count normalized to variables[pos(node.var):] (terminals to the
-    # empty tail), so no (node, depth) product keys are needed — a
-    # child reached from different parents is scaled into each parent's
-    # scope by shifting with the level gap.
-    counts: Dict[int, int] = {}
-
-    def pos(m: ObddNode) -> int:
-        return n if m.is_terminal else positions[m.var]
-
-    for m in node.topological():
-        if m.is_terminal:
-            counts[m.id] = 1 if m.terminal_value else 0
-        else:
-            level = positions[m.var]
-            low, high = m.low, m.high
-            counts[m.id] = \
-                (counts[low.id] << (pos(low) - level - 1)) + \
-                (counts[high.id] << (pos(high) - level - 1))
-    return counts[node.id] << pos(node)
-
-
 def weighted_model_count(node: ObddNode, weights: Mapping[int, float],
                          variables: Sequence[int] | None = None) -> float:
     """WMC with literal weights (±v keys), skipped variables contribute
     W(v) + W(-v).
 
-    IR-kernel backed like :func:`model_count`; the seed's span-weight
-    pass survives as :func:`weighted_model_count_legacy`.
+    IR-kernel backed like :func:`model_count`.
     """
     if variables is None:
         variables = node.manager.var_order
     from ..ir import ir_kernel, obdd_to_ir
     return ir_kernel(obdd_to_ir(node)).wmc(weights, scope=variables)
-
-
-def weighted_model_count_legacy(node: ObddNode,
-                                weights: Mapping[int, float],
-                                variables: Sequence[int] | None = None
-                                ) -> float:
-    """The seed WMC pass (span-weight level-gap scheme).
-
-    .. deprecated:: not for new call sites; kept as the
-       cross-check reference and benchmark baseline.
-    """
-    manager = node.manager
-    if variables is None:
-        variables = manager.var_order
-    variables = list(variables)
-    positions = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-
-    def span_weight(lo: int, hi: int) -> float:
-        value = 1.0
-        for i in range(lo, hi):
-            var = variables[i]
-            value *= weights[var] + weights[-var]
-        return value
-
-    # values[id]: WMC normalized to variables[pos(node.var):] — the
-    # same single-value-per-node scheme as model_count, with gap
-    # variables contributing W(v) + W(-v) factors.
-    values: Dict[int, float] = {}
-
-    def pos(m: ObddNode) -> int:
-        return n if m.is_terminal else positions[m.var]
-
-    for m in node.topological():
-        if m.is_terminal:
-            values[m.id] = 1.0 if m.terminal_value else 0.0
-        else:
-            level = positions[m.var]
-            var = m.var
-            low, high = m.low, m.high
-            values[m.id] = (
-                weights[-var] * span_weight(level + 1, pos(low))
-                * values[low.id]
-                + weights[var] * span_weight(level + 1, pos(high))
-                * values[high.id])
-    return span_weight(0, pos(node)) * values[node.id]
 
 
 def enumerate_models(node: ObddNode,

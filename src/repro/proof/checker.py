@@ -34,7 +34,7 @@ expired; ``steps`` says how far the replay got).
 Independence is the point: this module imports only the stdlib, the
 CNF representation (:mod:`repro.logic`) and budgets
 (:mod:`repro.limits`) — never :mod:`repro.sat` or
-:mod:`repro.compile`.  ``tools/lint_invariants.py`` (rule 7,
+:mod:`repro.compile`.  ``tools/lint_invariants.py`` (rule 6,
 ``proof-isolation``) enforces that at CI time.
 """
 

@@ -7,9 +7,7 @@ Two many-query fast paths live here as well: ``marginal_batch``
 answers N evidence instantiations in one numpy sweep over the PSDD
 (one length-N row per node), and ``variable_marginals`` computes
 Pr(X=1) for *every* variable from a single upward + downward
-derivative pass instead of |vars| full evaluations (the legacy
-per-variable loop survives as ``variable_marginals_legacy`` for
-cross-checking).
+derivative pass instead of |vars| full evaluations.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .psdd import PsddNode
 
-__all__ = ["marginal", "marginal_legacy", "marginal_batch", "mpe",
-           "entropy", "kl_divergence", "support_size",
-           "variable_marginals", "variable_marginals_legacy"]
+__all__ = ["marginal", "marginal_batch", "mpe", "entropy",
+           "kl_divergence", "support_size", "variable_marginals"]
 
 
 def marginal(root: PsddNode, evidence: Mapping[int, bool]) -> float:
@@ -31,8 +28,7 @@ def marginal(root: PsddNode, evidence: Mapping[int, bool]) -> float:
     lowers once (cached) with ``KIND_PARAM`` leaves for the θs, and the
     parameter vector is re-read from the live nodes per call — in-place
     θ updates are always reflected.  Evidence becomes literal weights
-    (set variable → 1/0, unset → 1/1).  The seed's recursive traversal
-    survives as :func:`marginal_legacy`.
+    (set variable → 1/0, unset → 1/1).
     """
     from ..ir import ir_kernel, psdd_to_ir
     ir, params = psdd_to_ir(root)
@@ -44,39 +40,6 @@ def marginal(root: PsddNode, evidence: Mapping[int, bool]) -> float:
         else:
             weights[var] = weights[-var] = 1.0
     return ir_kernel(ir).wmc(weights, params=params)
-
-
-def marginal_legacy(root: PsddNode, evidence: Mapping[int, bool]) -> float:
-    """The seed MAR traversal (dict-per-call recursion).
-
-    .. deprecated:: not for new call sites; kept as the
-       cross-check reference and benchmark baseline.
-    """
-    cache: Dict[int, float] = {}
-
-    def value(node: PsddNode) -> float:
-        hit = cache.get(node.id)
-        if hit is not None:
-            return hit
-        if node.is_literal:
-            var = abs(node.literal)
-            if var in evidence:
-                result = 1.0 if evidence[var] == (node.literal > 0) else 0.0
-            else:
-                result = 1.0
-        elif node.is_bernoulli:
-            var = abs(node.literal)
-            if var in evidence:
-                result = node.theta if evidence[var] else 1.0 - node.theta
-            else:
-                result = 1.0
-        else:
-            result = sum(theta * value(prime) * value(sub)
-                         for prime, sub, theta in node.elements)
-        cache[node.id] = result
-        return result
-
-    return value(root)
 
 
 def marginal_batch(root: PsddNode,
@@ -159,18 +122,6 @@ def variable_marginals(root: PsddNode) -> Dict[int, float]:
     for var in root.variables():
         result.setdefault(var, 0.0)
     return {var: result[var] for var in sorted(result)}
-
-
-def variable_marginals_legacy(root: PsddNode) -> Dict[int, float]:
-    """Pr(X = 1) for every variable, by |vars| evidence evaluations —
-    the reference implementation :func:`variable_marginals` is
-    cross-checked against.
-
-    .. deprecated:: not for new call sites; kept as the
-       cross-check reference and benchmark baseline.
-    """
-    return {var: marginal_legacy(root, {var: True})
-            for var in sorted(root.variables())}
 
 
 def mpe(root: PsddNode, evidence: Mapping[int, bool] | None = None

@@ -4,12 +4,10 @@ The solver works on :class:`repro.logic.Cnf` and supports assumptions,
 model extraction and model enumeration.  Satisfiability runs on the
 iterative two-watched-literal engine of :mod:`repro.sat.propagation`
 (:class:`~repro.sat.propagation.WatchedSolver`); ``unit_propagate``
-keeps its original contract but is likewise watched-literal based.  The
-seed's recursive copy-on-condition solver and its clause-rescan
-propagator survive as ``solve_legacy`` / ``unit_propagate_legacy`` —
-they are the reference implementations the property-based cross-check
-suite compares against, and the baselines the perf benchmarks measure
-speedups over.
+keeps its original contract but is likewise watched-literal based.
+The seed's recursive copy-on-condition solver and its clause-rescan
+propagator live on in ``tests/oracles/dpll.py``, the reference the
+cross-check suite compares these against.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from ..logic.cnf import Cnf
 from ..perf.instrument import Counter
 from .propagation import WatchedSolver, propagate_watched
 
-__all__ = ["solve", "solve_legacy", "is_satisfiable", "enumerate_models",
-           "unit_propagate", "unit_propagate_legacy"]
+__all__ = ["solve", "is_satisfiable", "enumerate_models",
+           "unit_propagate"]
 
 Clause = Tuple[int, ...]
 Assignment = Dict[int, bool]
@@ -35,63 +33,9 @@ def unit_propagate(clauses: List[Clause], assignment: Assignment,
     Mutates ``assignment`` with implied literals.  Returns the reduced
     clause list, or None on conflict (an empty clause was derived).
     The residual is identical — clause for clause — to the one the
-    legacy propagator produces.
+    seed's rescan propagator produces.
     """
     return propagate_watched(clauses, assignment, stats)
-
-
-def unit_propagate_legacy(clauses: List[Clause], assignment: Assignment,
-                          stats: Counter | None = None
-                          ) -> Optional[List[Clause]]:
-    """The seed propagator: re-scans every clause per round.
-
-    Kept as the reference implementation for the cross-check suite and
-    as the benchmark baseline.  Same contract as ``unit_propagate``.
-
-    .. deprecated:: not for new call sites; kept as the cross-check
-       reference and benchmark baseline.
-    """
-    changed = True
-    while changed:
-        changed = False
-        if stats is not None:
-            stats.incr("clause_visits", len(clauses))
-        reduced: List[Clause] = []
-        for clause in clauses:
-            satisfied = False
-            remaining: List[int] = []
-            for lit in clause:
-                var = abs(lit)
-                if var in assignment:
-                    if assignment[var] == (lit > 0):
-                        satisfied = True
-                        break
-                else:
-                    remaining.append(lit)
-            if satisfied:
-                continue
-            if not remaining:
-                return None  # conflict
-            if len(remaining) == 1:
-                lit = remaining[0]
-                assignment[abs(lit)] = lit > 0
-                changed = True
-                if stats is not None:
-                    stats.incr("propagations")
-            else:
-                reduced.append(tuple(remaining))
-        clauses = reduced
-    return clauses
-
-
-def _pure_literals(clauses: Sequence[Clause]) -> List[int]:
-    polarity: Dict[int, int] = {}  # var -> bitmask: 1 pos, 2 neg
-    for clause in clauses:
-        for lit in clause:
-            polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0
-                                                              else 2)
-    return [v if mask == 1 else -v
-            for v, mask in polarity.items() if mask in (1, 2)]
 
 
 def _choose_branch_variable(clauses: Sequence[Clause]) -> int:
@@ -103,31 +47,6 @@ def _choose_branch_variable(clauses: Sequence[Clause]) -> int:
     return max(counts, key=lambda v: (counts[v], -v))
 
 
-def _dpll(clauses: List[Clause], assignment: Assignment
-          ) -> Optional[Assignment]:
-    clauses = unit_propagate_legacy(clauses, assignment)
-    if clauses is None:
-        return None
-    if not clauses:
-        return assignment
-    for lit in _pure_literals(clauses):
-        if abs(lit) not in assignment:
-            assignment[abs(lit)] = lit > 0
-    clauses = [c for c in clauses
-               if not any(abs(l) in assignment
-                          and assignment[abs(l)] == (l > 0) for l in c)]
-    if not clauses:
-        return assignment
-    var = _choose_branch_variable(clauses)
-    for value in (True, False):
-        trial = dict(assignment)
-        trial[var] = value
-        result = _dpll(list(clauses), trial)
-        if result is not None:
-            return result
-    return None
-
-
 def solve(cnf: Cnf, assumptions: Iterable[int] = (),
           stats: Counter | None = None,
           budget=None) -> Optional[Assignment]:
@@ -136,8 +55,7 @@ def solve(cnf: Cnf, assumptions: Iterable[int] = (),
     The returned assignment is *complete* over variables 1..num_vars
     (unconstrained variables default to False).  ``assumptions`` is an
     iterable of literals to assert.  Runs on the iterative
-    two-watched-literal solver; see :func:`solve_legacy` for the seed
-    recursive implementation.  ``budget`` (explicit, else ambient)
+    two-watched-literal solver.  ``budget`` (explicit, else ambient)
     bounds the search — one charge per decision — and exhaustion raises
     :class:`~repro.limits.budget.BudgetExceeded`.
     """
@@ -148,28 +66,6 @@ def solve(cnf: Cnf, assumptions: Iterable[int] = (),
     solver = WatchedSolver(cnf.clauses, cnf.num_vars, stats=stats,
                            budget=budget)
     result = solver.solve(assumption_list)
-    if result is None:
-        return None
-    for var in range(1, cnf.num_vars + 1):
-        result.setdefault(var, False)
-    return result
-
-
-def solve_legacy(cnf: Cnf, assumptions: Iterable[int] = ()
-                 ) -> Optional[Assignment]:
-    """The seed solver: recursive DPLL with copy-on-condition clause
-    lists and pure-literal elimination.  Reference implementation for
-    the cross-check suite and the benchmark baseline.
-
-    .. deprecated:: not for new call sites."""
-    assignment: Assignment = {}
-    for lit in assumptions:
-        var = abs(lit)
-        value = lit > 0
-        if assignment.get(var, value) != value:
-            return None
-        assignment[var] = value
-    result = _dpll(list(cnf.clauses), assignment)
     if result is None:
         return None
     for var in range(1, cnf.num_vars + 1):

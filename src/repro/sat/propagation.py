@@ -1,6 +1,6 @@
 """Two-watched-literal unit propagation and an iterative DPLL solver.
 
-The seed propagator (`repro.sat.dpll.unit_propagate_legacy`) re-scans
+The seed propagator (`tests/oracles/dpll.py`) re-scans
 the whole clause list on every propagation round, so a chain of k
 implications costs O(k · total-literals).  The engine here implements
 the classic two-watched-literal scheme (Moskewicz et al., Chaff 2001):

@@ -4,8 +4,8 @@ Drives the serving path the way the paper's economics say production
 traffic looks: many clients asking for the *same* knowledge bases
 (duplicate-heavy compiles that must collapse onto one compilation) and
 then hammering the compiled artifacts with cheap online queries.
-Used by ``repro bench-load``, the ``serve_throughput`` benchmark
-scenario, and the CI smoke job.
+Used by ``repro bench-load``, ``tests/test_serve.py`` and the CI
+smoke job.
 
 Everything here is stdlib: ``threading`` clients (the server is the
 concurrent piece under test), deterministic ``random.Random(seed)``

@@ -1,25 +1,18 @@
-"""Reference implementations of the NNF circuit queries.
+"""The seed's NNF circuit queries: dict-per-call walks over the node
+objects, one recursion-free pass per query.
 
-These are the seed's dict-per-call traversals, kept verbatim as
-
-* the baseline the ``repro.perf`` benchmarks measure the
-  :class:`~repro.ir.kernel.IrKernel` speedups against, and
-* the reference the property-based cross-check suite compares the
-  kernel results to.
-
-Use :mod:`repro.nnf.queries` for the fast kernel-backed versions; the
-two modules share the same signatures and semantics.
-
-.. deprecated::
-   Do not call these from new code — they exist for cross-checking and
-   benchmarking only.
+They answer the query table of Darwiche's *Tractable Boolean and
+Arithmetic Circuits* without the IR: no lowering, no
+:class:`~repro.ir.kernel.IrKernel`, no levelized plan.  The suites
+compare :mod:`repro.nnf.queries` (same signatures, same semantics)
+against them on random circuits.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .node import NnfNode
+from repro.nnf.node import NnfNode
 
 __all__ = ["is_satisfiable_dnnf", "sat_model_dnnf", "model_count",
            "weighted_model_count", "enumerate_models", "mpe",

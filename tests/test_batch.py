@@ -32,13 +32,14 @@ from repro.ir import facade, ir_kernel, nnf_to_ir
 from repro.ir.kernel import pack_weight_batch
 from repro.logic.cnf import Cnf
 from repro.nnf import queries
+from repro.nnf.node import NnfNode
 from repro.psdd import (learn_parameters, marginal, marginal_batch,
                         psdd_from_sdd, sample_dataset,
                         variable_marginals)
-from repro.psdd.queries import variable_marginals_legacy
 from repro.sdd import compile_cnf_sdd
 from repro.wmc.arithmetic_circuit import ArithmeticCircuit
 from repro.wmc.pipeline import WmcPipeline
+from tests.oracles import psdd_walkers
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RTOL = 1e-9
@@ -136,6 +137,31 @@ class TestKernelBatches:
         twice = queries.weighted_model_count_batch(root, packed)
         assert twice.shape == (2,)
         assert_close(twice[0], twice[1])
+
+    def test_packing_reads_the_kernels_variables(self, monkeypatch):
+        """Once the kernel is built, packing a list-of-maps batch
+        needs no walk of the NNF DAG: the kernel already holds the
+        variable set."""
+        (root, rng), = compiled_circuits(1, num_vars=10, num_clauses=20,
+                                         first_seed=62)
+        variables = sorted(root.variables())
+        maps = [random_weights(variables, rng) for _ in range(8)]
+        scalar = [queries.weighted_model_count(root, w) for w in maps]
+        assignments = [{v: rng.random() < 0.5 for v in variables}
+                       for _ in range(8)]
+        kernel = queries.get_kernel(root)
+        truth = [kernel.evaluate(a) for a in assignments]
+
+        def no_walk(node):
+            raise AssertionError("NnfNode.variables() walked the DAG")
+
+        monkeypatch.setattr(NnfNode, "variables", no_walk)
+        batch = queries.weighted_model_count_batch(root, maps)
+        log_batch = queries.weighted_model_count_log_batch(root, maps)
+        for j, want in enumerate(scalar):
+            assert_close(batch[j], want, f"row {j}")
+            assert_close(np.exp(log_batch[j]), want, f"log row {j}")
+        assert list(queries.evaluate_batch(root, assignments)) == truth
 
     def test_empty_batch_yields_empty_result(self):
         (root, _), = compiled_circuits(1, first_seed=61)
@@ -381,7 +407,7 @@ class TestPsddBatches:
     def test_variable_marginals_matches_legacy(self):
         for psdd, _rng in self.learned_psdds(8):
             new = variable_marginals(psdd)
-            old = variable_marginals_legacy(psdd)
+            old = psdd_walkers.variable_marginals(psdd)
             assert set(new) == set(old)
             for var in new:
                 assert_close(new[var], old[var], f"var {var}")

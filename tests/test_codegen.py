@@ -399,8 +399,9 @@ def test_psdd_em_updates_never_served_stale(monkeypatch):
     (extends the PR 3 memo-staleness suite)."""
     from repro.logic import VarMap, parse, to_cnf
     from repro.psdd import learn_parameters, psdd_from_sdd
-    from repro.psdd.queries import marginal, marginal_legacy
+    from repro.psdd.queries import marginal
     from repro.sdd.compiler import compile_cnf_sdd
+    from tests.oracles import psdd_walkers
     vm = VarMap()
     f = parse("(P | L) & (A -> P) & (K -> (A | L))", vm)
     root, _ = compile_cnf_sdd(to_cnf(f))
@@ -413,7 +414,7 @@ def test_psdd_em_updates_never_served_stale(monkeypatch):
     learn_parameters(psdd, data)
     after = marginal(psdd, {1: True})
     assert after != pytest.approx(before)
-    assert after == pytest.approx(marginal_legacy(psdd, {1: True}))
+    assert after == pytest.approx(psdd_walkers.marginal(psdd, {1: True}))
 
 
 # -- no bytes become code ----------------------------------------------------

@@ -1,19 +1,20 @@
 """Property-based cross-checks for the hot-path engines.
 
 Every optimised engine introduced by the performance layer is compared,
-on random 3-CNFs of up to 14 variables, against (a) its legacy
-reference implementation and (b) brute-force enumeration:
+on random 3-CNFs of up to 14 variables, against (a) the seed
+implementation it replaced (``tests/oracles``) and (b) brute-force
+enumeration:
 
 * watched-literal ``unit_propagate`` vs the seed rescan loop — residual
   clause lists and implied assignments must be *identical*;
-* ``solve`` (iterative watched solver) vs ``solve_legacy`` — SAT
+* ``solve`` (iterative watched solver) vs the seed recursive DPLL — SAT
   verdicts agree and returned models actually satisfy the formula;
 * the one component search in every configuration vs brute force:
   ``ModelCounter`` counts, counting on the compiled Decision-DNNF
   (with and without components, cache or a priority order) and the
   anytime intervals, exact unbudgeted and bracketing under caps;
-* dense-array kernel queries vs the seed recursive query module
-  (``repro.nnf.queries_legacy``).
+* dense-array kernel queries vs the seed's NNF walkers
+  (``tests/oracles/nnf_walkers.py``).
 
 Plus a regression test that per-circuit kernel memoisation survives
 conditioned queries (conditioning must not poison cached pure results).
@@ -26,11 +27,12 @@ from hypothesis import given, settings, strategies as st
 from repro.compile.dnnf_compiler import DnnfCompiler
 from repro.limits import Budget, anytime_count
 from repro.logic.cnf import Cnf
-from repro.nnf import queries, queries_legacy
+from repro.nnf import queries
 from repro.nnf.transform import smooth
 from repro.perf import Counter
 from repro.sat import ModelCounter, solve, unit_propagate
-from repro.sat.dpll import solve_legacy, unit_propagate_legacy
+from tests.oracles import dpll as seed_dpll
+from tests.oracles import nnf_walkers
 
 
 def cnfs(max_var=14, max_clauses=24):
@@ -57,7 +59,8 @@ def test_watched_propagation_matches_legacy(cnf):
     residual, same implied assignment, same conflict verdict."""
     watched_assignment, legacy_assignment = {}, {}
     watched = unit_propagate(list(cnf.clauses), watched_assignment)
-    legacy = unit_propagate_legacy(list(cnf.clauses), legacy_assignment)
+    legacy = seed_dpll.unit_propagate(list(cnf.clauses),
+                                      legacy_assignment)
     if legacy is None:
         assert watched is None
     else:
@@ -69,7 +72,7 @@ def test_watched_propagation_matches_legacy(cnf):
 @given(cnfs(max_var=10, max_clauses=20))
 def test_solvers_agree(cnf):
     fast = solve(cnf)
-    slow = solve_legacy(cnf)
+    slow = seed_dpll.solve(cnf)
     assert (fast is None) == (slow is None)
     if fast is not None:
         assert cnf.evaluate(fast)
@@ -106,15 +109,15 @@ def test_kernel_queries_match_legacy_queries(cnf, rng):
     root = DnnfCompiler().compile(cnf)
     full = range(1, cnf.num_vars + 1)
     assert queries.is_satisfiable_dnnf(root) == \
-        queries_legacy.is_satisfiable_dnnf(root)
+        nnf_walkers.is_satisfiable_dnnf(root)
     assert queries.model_count(root, full) == \
-        queries_legacy.model_count(root, full)
+        nnf_walkers.model_count(root, full)
     weights = {}
     for var in full:
         p = rng.random()
         weights[var], weights[-var] = p, 1.0 - p
     fast = queries.weighted_model_count(root, weights, full)
-    slow = queries_legacy.weighted_model_count(root, weights, full)
+    slow = nnf_walkers.weighted_model_count(root, weights, full)
     assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
     # two variables past the header: wider than any compiled circuit
     wider = range(1, cnf.num_vars + 3)
@@ -122,7 +125,7 @@ def test_kernel_queries_match_legacy_queries(cnf, rng):
         weights[var], weights[-var] = 0.25, 0.75
     for scope in (full, wider):
         fast_mpe = queries.mpe(root, weights, scope)
-        slow_mpe = queries_legacy.mpe(root, weights, scope)
+        slow_mpe = nnf_walkers.mpe(root, weights, scope)
         # both report -inf on unsatisfiable circuits; -inf - -inf is nan
         assert fast_mpe[0] == slow_mpe[0] or \
             abs(fast_mpe[0] - slow_mpe[0]) <= 1e-9 * max(1.0, slow_mpe[0])
@@ -130,7 +133,7 @@ def test_kernel_queries_match_legacy_queries(cnf, rng):
     smoothed = smooth(root)
     for scope in (None, full, wider):
         assert queries.marginal_counts(smoothed, scope) == \
-            queries_legacy.marginal_counts(smoothed, scope)
+            nnf_walkers.marginal_counts(smoothed, scope)
 
 
 def test_kernel_memo_survives_conditioning():

@@ -19,7 +19,7 @@ from repro.compile import compile_cnf
 from repro.compile.dnnf_compiler import DnnfCompiler
 from repro.explain import (check_necessary_batch, check_sufficient_batch,
                            iter_sufficient_reasons, necessary_literals,
-                           sufficient_reasons)
+                           reason_graph, sufficient_reasons)
 from repro.ir import facade
 from repro.ir.core import FLAG_DECOMPOSABLE, FLAG_DETERMINISTIC
 from repro.ir.lower import nnf_to_ir, obdd_to_ir
@@ -114,6 +114,33 @@ def test_reasons_are_sorted_and_unique():
         # repo convention: (size, abs-ordered literal list)
         keyed = [(len(r), list(r)) for r in reasons]
         assert keyed == sorted(keyed)
+
+
+def test_reason_graph_keeps_only_reachable_nodes():
+    """72 random Decision-DNNF decisions: every node of the reason
+    graph is reachable from its root, so ``size`` (what each probe
+    walks and charges to the budget) counts exactly those, and every
+    reason still triggers the graph."""
+    rng = random.Random(27)
+    built = 0
+    while built < 72:
+        cnf = random_cnf(rng)
+        instance = satisfying_instance(cnf, rng)
+        if instance is None:
+            continue
+        ir = compile_ir(cnf)
+        graph = reason_graph(ir, instance)
+        reachable = set()
+        stack = [graph.root]
+        while stack:
+            idx = stack.pop()
+            if idx not in reachable:
+                reachable.add(idx)
+                stack.extend(graph.children[idx])
+        assert graph.size == len(reachable) == len(graph.kinds)
+        for reason in sufficient_reasons(ir, instance)["reasons"]:
+            assert graph.evaluate(set(reason))
+        built += 1
 
 
 # -- delay on the tractable fragment ------------------------------------------

@@ -3,8 +3,8 @@
 Three properties, each over hundreds of random circuits:
 
 * **cross-check** — every family's IR-kernel query path agrees with
-  the seed's per-family legacy walker (model count, WMC, MPE, batch
-  WMC) — in total well over 500 random circuits;
+  the seed's per-family walker in ``tests/oracles`` (model count,
+  WMC, MPE, batch WMC) — in total well over 500 random circuits;
 * **round-trip** — the canonical serializations (c2d ``.nnf``, libsdd
   ``.sdd``/``.vtree``) are byte-stable under write∘read and preserve
   model counts;
@@ -23,9 +23,11 @@ from repro.ir.serialize import (ir_from_nnf_text, ir_to_nnf_text,
                                 read_sdd_file, read_vtree_text,
                                 write_sdd_file, write_vtree_text)
 from repro.logic.cnf import Cnf
-from repro.nnf import queries, queries_legacy
+from repro.nnf import queries
 from repro.nnf.queries import get_kernel
 from repro.perf.instrument import Counter
+from tests.oracles import (nnf_walkers, obdd_walkers, psdd_walkers,
+                           sdd_walkers)
 
 
 def random_cnf(rng, max_vars=7):
@@ -47,7 +49,7 @@ def random_weights(rng, variables):
     return weights
 
 
-# -- cross-checks: IR kernel vs the seed's legacy walkers --------------------
+# -- cross-checks: IR kernel vs the seed's walkers ---------------------------
 
 def test_nnf_kernel_matches_legacy_walkers():
     """200 random d-DNNFs: count, WMC, MPE and batch WMC through the
@@ -60,13 +62,13 @@ def test_nnf_kernel_matches_legacy_walkers():
         weights = random_weights(rng, variables)
 
         assert queries.model_count(root, variables) == \
-            queries_legacy.model_count(root, variables)
+            nnf_walkers.model_count(root, variables)
         assert queries.weighted_model_count(root, weights, variables) \
-            == pytest.approx(queries_legacy.weighted_model_count(
+            == pytest.approx(nnf_walkers.weighted_model_count(
                 root, weights, variables))
 
         value, model = queries.mpe(root, weights, variables)
-        legacy_value, _ = queries_legacy.mpe(root, weights, variables)
+        legacy_value, _ = nnf_walkers.mpe(root, weights, variables)
         assert value == pytest.approx(legacy_value)
         # the argmax may differ under ties, but its weight may not:
         # complete the traceback model greedily and re-score it
@@ -81,8 +83,8 @@ def test_nnf_kernel_matches_legacy_walkers():
         batch = queries.weighted_model_count_batch(root, maps, variables)
         for j, column in enumerate(maps):
             assert batch[j] == pytest.approx(
-                queries_legacy.weighted_model_count(root, column,
-                                                    variables))
+                nnf_walkers.weighted_model_count(root, column,
+                                                 variables))
 
 
 def _model_weight(model, weights):
@@ -102,9 +104,9 @@ def test_obdd_kernel_matches_legacy_walkers():
         variables = range(1, cnf.num_vars + 1)
         weights = random_weights(rng, variables)
         assert ops.model_count(node, variables) == \
-            ops.model_count_legacy(node, variables)
+            obdd_walkers.model_count(node, variables)
         assert ops.weighted_model_count(node, weights, variables) == \
-            pytest.approx(ops.weighted_model_count_legacy(
+            pytest.approx(obdd_walkers.weighted_model_count(
                 node, weights, variables))
 
 
@@ -119,9 +121,9 @@ def test_sdd_kernel_matches_legacy_walkers():
         root, manager = compile_cnf_sdd(cnf)
         weights = random_weights(rng, manager.vtree.variables)
         assert sdd_queries.model_count(root) == \
-            sdd_queries.model_count_legacy(root)
+            sdd_walkers.model_count(root)
         assert sdd_queries.weighted_model_count(root, weights) == \
-            pytest.approx(sdd_queries.weighted_model_count_legacy(
+            pytest.approx(sdd_walkers.weighted_model_count(
                 root, weights))
 
 
@@ -129,7 +131,7 @@ def test_psdd_kernel_matches_legacy_walker():
     """60 random PSDDs (random structure + random evidence): the
     parameterised IR path equals the seed's recursive marginal."""
     from repro.psdd import psdd_from_sdd
-    from repro.psdd.queries import marginal, marginal_legacy
+    from repro.psdd.queries import marginal
     from repro.sdd.compiler import compile_cnf_sdd
     rng = random.Random(4211)
     built = 0
@@ -144,7 +146,7 @@ def test_psdd_kernel_matches_legacy_walker():
         picked = rng.sample(variables, rng.randint(0, len(variables)))
         evidence = {v: rng.random() < 0.5 for v in picked}
         assert marginal(psdd, evidence) == \
-            pytest.approx(marginal_legacy(psdd, evidence))
+            pytest.approx(psdd_walkers.marginal(psdd, evidence))
 
 
 def test_ac_kernel_matches_evaluate():
@@ -322,7 +324,7 @@ def test_psdd_parameter_update_is_reflected():
     serve stale marginals."""
     from repro.logic import VarMap, parse, to_cnf
     from repro.psdd import learn_parameters, psdd_from_sdd
-    from repro.psdd.queries import marginal, marginal_legacy
+    from repro.psdd.queries import marginal
     from repro.sdd.compiler import compile_cnf_sdd
     vm = VarMap()
     f = parse("(P | L) & (A -> P) & (K -> (A | L))", vm)
@@ -342,7 +344,7 @@ def test_psdd_parameter_update_is_reflected():
     assert params_after != params_before  # parameters do not
     after = marginal(psdd, {1: True})
     assert after != pytest.approx(before)
-    assert after == pytest.approx(marginal_legacy(psdd, {1: True}))
+    assert after == pytest.approx(psdd_walkers.marginal(psdd, {1: True}))
 
 
 @pytest.mark.parametrize("ir_first", [True, False])

@@ -4,9 +4,9 @@ The heart of the suite is randomized certification: hundreds of small
 (≤12-variable) circuits pushed through every pass and through random
 pipelines, with the optimized circuit's counts and weighted counts
 checked against brute-force truth tables (``Cnf.model_count``) and the
-seed's legacy walkers — including the 2^k Tseitin correction, where
-forgetting k functionally-determined auxiliaries divides the widened
-count by exactly 2^k.
+seed's NNF walkers (``tests/oracles``) — including the 2^k Tseitin
+correction, where forgetting k functionally-determined auxiliaries
+divides the widened count by exactly 2^k.
 """
 
 import random
@@ -26,8 +26,8 @@ from repro.ir.store import ArtifactStore
 from repro.logic.cnf import Cnf
 from repro.logic.formula import And, Iff, Lit, Not, Or
 from repro.logic.tseitin import tseitin
-from repro.nnf import queries
 from repro.analyze.gate import gate_scope
+from tests.oracles import nnf_walkers
 
 
 def random_cnf(rng, max_vars=8):
@@ -118,7 +118,8 @@ def test_every_pass_preserves_counts_on_random_cnfs():
 
 def test_random_pipelines_match_truth_and_legacy_walkers():
     """150 random CNFs x random pipelines: count vs brute force and
-    WMC vs the legacy recursive walker."""
+    WMC vs the seed's dict-per-call walker on the unoptimized circuit
+    (no IR, no kernel)."""
     rng = random.Random(77)
     for trial in range(150):
         cnf = random_cnf(rng)
@@ -132,7 +133,8 @@ def test_random_pipelines_match_truth_and_legacy_walkers():
                                result.forgotten) == cnf.model_count()
         variables = range(1, cnf.num_vars + 1)
         weights = random_weights(rng, variables)
-        legacy = queries.weighted_model_count(root, weights, variables)
+        legacy = nnf_walkers.weighted_model_count(root, weights,
+                                                  variables)
         out = facade.query_ir(result.ir, "wmc",
                               num_vars=cnf.num_vars, weights=weights,
                               forgotten=result.forgotten)

@@ -116,37 +116,23 @@ def test_run_all_quick_smoke(tmp_path):
     assert report["schema"] == "repro-bench/1"
     assert report["quick"] is True
     assert set(report["scenarios"]) == {
-        "sharp_sat", "dnnf_compile", "repeated_wmc", "batched_wmc",
-        "batched_marginals", "psdd_marginals", "classifier_scoring",
-        "warm_compile", "anytime_bounds", "restart_compile",
-        "verify_overhead", "codegen_kernel", "warm_mmap",
-        "serve_throughput", "minimize", "proof_overhead",
-        "explain_throughput"}
+        "sharp_sat", "batched_wmc", "batched_marginals", "psdd_marginals",
+        "classifier_scoring", "anytime_bounds", "codegen_kernel",
+        "minimize", "proof_overhead", "explain_throughput"}
     for name, scenario in report["scenarios"].items():
         assert scenario["agree"] is True, name
         # the per-scenario deadline guard must not have tripped
         assert "budget_exceeded" not in scenario, name
         # sub-0.1ms batched passes legitimately round to 0.0
         assert scenario["optimized_s"] >= 0
-    for name in ("sharp_sat", "dnnf_compile", "repeated_wmc",
-                 "batched_wmc"):
+    for name in ("sharp_sat", "batched_wmc"):
         assert report["scenarios"][name]["counters"]["optimized"]
-    warm = report["scenarios"]["warm_compile"]
-    # a warm artifact-store compile is a file read + parse + lift —
-    # it must beat the cold search by a wide margin
-    assert warm["speedup"] >= 5, warm
-    assert warm["cache_hit_rate"] > 0
-    assert warm["counters"]["optimized"]["artifact_cache_hits"] == 1
     anytime = report["scenarios"]["anytime_bounds"]
     # intervals must tighten monotonically as the node budget grows,
     # ending exact at the largest budget of the quick instance
     widths = [point["width_fraction"] for point in anytime["curve"]]
     assert widths == sorted(widths, reverse=True), widths
     assert anytime["curve"][-1]["exact"] is True, anytime["curve"]
-    restart = report["scenarios"]["restart_compile"]
-    # the first attempt is budgeted to fail; a later one must win
-    assert restart["attempts"][0]["outcome"].startswith("budget:")
-    assert restart["winner"] is not None, restart["attempts"]
     codegen = report["scenarios"]["codegen_kernel"]
     # the generated evaluator must beat the interpreted loops by an
     # order of magnitude on scalar WMC/#SAT (the PR's acceptance bar)
@@ -154,29 +140,12 @@ def test_run_all_quick_smoke(tmp_path):
     assert codegen["counters"]["optimized"]["codegen_compiles"] == 1
     assert codegen["counters"]["optimized"].get(
         "codegen_fallbacks", 0) == 0, codegen
-    mmap_warm = report["scenarios"]["warm_mmap"]
-    # decoding the binary CSR sidecar must beat re-parsing the text
-    assert mmap_warm["speedup"] > 1, mmap_warm
-    assert mmap_warm["counters"]["optimized"]["artifact_mmap_hits"] > 0
-    serve = report["scenarios"]["serve_throughput"]
-    # concurrent duplicate compiles must collapse onto one compilation
-    # (the acceptance bar for the duplicate-heavy mix)
-    assert serve["dedup_hit_rate"] > 0.8, serve
-    # served warm queries must stay within 10x of a single-process
-    # warm query that decodes its circuit from the store (a fresh
-    # handle per query) — the service overhead bound.  A served query
-    # skips that decode (the worker keeps its circuits), so the bound
-    # prices the service against the decoding path, not like-for-like
-    assert serve["p50_ms"] < 10 * max(serve["direct_decoding_query_ms"],
-                                      0.05), serve
-    assert serve["rps"] > 0 and serve["p99_ms"] >= serve["p50_ms"]
     minimize = report["scenarios"]["minimize"]
     # certified pruning must shrink Tseitin-heavy circuits by at least
     # 30% total (the pass-manager PR's acceptance bar)
     assert minimize["node_reduction"] >= 0.3, minimize
     assert minimize["nodes_after"] < minimize["nodes_before"]
     assert minimize["counters"]["forgotten"] > 0, minimize
-    assert serve["counters"]["statuses"].keys() == {"200"}, serve
     proof = report["scenarios"]["proof_overhead"]
     # trace emission must stay within 2x of a plain compile (the
     # proof-logging PR's acceptance bar), and the replay must be live
@@ -261,7 +230,7 @@ def test_run_all_regression_gate(tmp_path):
     fake_baseline = {
         "schema": "repro-bench/1", "quick": True, "figures": [],
         "scenarios": {"sharp_sat": {"optimized_s": 1e-9},
-                      "repeated_wmc": {"optimized_s": 1e-9}},
+                      "proof_overhead": {"optimized_s": 1e-9}},
     }
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")

@@ -1,30 +1,23 @@
 #!/usr/bin/env python3
 """Project-invariant lint: AST checks ruff/mypy cannot express.
 
-Eight rules, each guarding a deliberate architectural boundary:
+Seven rules, each guarding a deliberate architectural boundary:
 
-1. **legacy-isolation** — production modules must not import any
-   ``*_legacy`` name/module at module level.  The legacy baselines
-   are test oracles and benchmark baselines; a function-local import
-   keeps them reachable without ever putting them on a production
-   import path.  ``*_legacy`` modules are exempt; tests are not
-   linted (``tools/`` and ``benchmarks/`` are — see below).
-
-2. **clock-injection** — budget-governed modules (``repro.limits``,
+1. **clock-injection** — budget-governed modules (``repro.limits``,
    ``repro.sat``, ``repro.compile``, ``repro.ir``) must not call
    ``time.time()`` or import ``time.time``: wall-clock reads go
    through the injectable clock (``Budget(clock=...)``), so the
    fault harness (:mod:`repro.limits.faults`) can steer time in
    tests.  ``time.perf_counter`` is fine (pure measurement).
 
-3. **flag-trust** — query-layer modules must not read the IR's
+2. **flag-trust** — query-layer modules must not read the IR's
    self-declared property ``flags`` (``FLAG_*`` constants,
    ``.has_flag``, ``.flags``): property requirements are checked by
    the gate (:mod:`repro.analyze.gate`) against *certified* flags.
    Lowering/serialization code legitimately writes flags and is not
    in the query layer.
 
-4. **no-exec** — no bytes become code: no scanned file may call the
+3. **no-exec** — no bytes become code: no scanned file may call the
    bare builtins ``eval``/``exec``/``compile``, with no exemption.
    Circuit evaluators are built in-process from the IR, so nothing
    read from a store, a request or any other file can reach the
@@ -32,7 +25,7 @@ Eight rules, each guarding a deliberate architectural boundary:
    ``cnf.compile(...)`` are fine — only the bare builtins are
    flagged.
 
-5. **serve-isolation** — the serving layer (``repro/serve/``) must
+4. **serve-isolation** — the serving layer (``repro/serve/``) must
    never call engine internals directly: the only sanctioned repro
    imports (module-level *or* lazy) are the service facade
    (``repro.ir.facade``), the store (``repro.ir.store``), the kernel
@@ -41,7 +34,7 @@ Eight rules, each guarding a deliberate architectural boundary:
    engines, circuit walkers etc. change shape freely behind the
    facade; a server reaching around it would freeze them.
 
-6. **rewrite-isolation** — only the sanctioned modules may construct
+5. **rewrite-isolation** — only the sanctioned modules may construct
    a :class:`CircuitIR` (directly or via ``IrBuilder``): the IR core
    itself, the lowerings, the serializers, and the certified pass
    manager (``repro/ir/passes.py``), where every rewrite is
@@ -50,7 +43,7 @@ Eight rules, each guarding a deliberate architectural boundary:
    would be an unaudited circuit rewrite — exactly the class of bug
    the certification gate exists to catch.
 
-7. **proof-isolation** — the equivalence-proof checker
+6. **proof-isolation** — the equivalence-proof checker
    (``repro/proof/``) must stay independent of the engine it audits:
    the only sanctioned repro imports (module-level *or* lazy) are the
    proof package itself, the CNF representation (``repro.logic``) and
@@ -59,7 +52,7 @@ Eight rules, each guarding a deliberate architectural boundary:
    whose absence it is supposed to certify; this rule is what makes a
    ``PROVED`` verdict worth more than the compiler's own say-so.
 
-8. **oracle-isolation** — no scanned file may import the test package
+7. **oracle-isolation** — no scanned file may import the test package
    (``tests`` or anything under it, ``tests.oracles`` included; lazy
    imports count too).  The oracles there are ground truth for the
    test suites — brute-force and second-route computations — and
@@ -70,8 +63,7 @@ Scanned roots: ``src/repro`` (relative paths like ``ir/store.py``),
 plus ``tools/``, ``benchmarks/`` and ``examples/`` under those
 prefixes — so the src-keyed rules (clock-injection, flag-trust, ...)
 cannot misfire on them, while the everywhere-rules (no-exec,
-legacy-isolation, rewrite-isolation, oracle-isolation) do apply.
-Tests are not linted.
+rewrite-isolation, oracle-isolation) do apply.  Tests are not linted.
 
 Exit status 1 with ``file:line: rule message`` diagnostics on any
 violation; 0 on a clean tree.  Stdlib only — runs anywhere.
@@ -84,10 +76,10 @@ import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
-#: budget-governed packages (rule 2), relative to src/repro
+#: budget-governed packages (rule 1), relative to src/repro
 CLOCK_GOVERNED = ("limits", "sat", "compile", "ir")
 
-#: query-layer modules (rule 3), relative to src/repro
+#: query-layer modules (rule 2), relative to src/repro
 QUERY_LAYER = (
     "ir/kernel.py",
     "nnf/queries.py",
@@ -101,51 +93,6 @@ QUERY_LAYER = (
 )
 
 Violation = Tuple[Path, int, str, str]  # file, line, rule, message
-
-
-def _module_level_imports(tree: ast.Module) -> Iterator[ast.stmt]:
-    """Imports outside any function body (class bodies and
-    module-level ``if``/``try`` blocks still count: they execute at
-    import time)."""
-    stack: List[ast.AST] = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.Lambda)):
-            continue
-        else:
-            for child in ast.iter_child_nodes(node):
-                stack.append(child)
-
-
-def _is_legacy_name(name: str) -> bool:
-    return "_legacy" in name
-
-
-def check_legacy_isolation(path: Path, rel: str,
-                           tree: ast.Module) -> Iterator[Violation]:
-    if _is_legacy_name(Path(rel).stem):
-        return
-    for node in _module_level_imports(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if _is_legacy_name(module):
-                yield (path, node.lineno, "legacy-isolation",
-                       f"module-level import of legacy module "
-                       f"{module!r}")
-                continue
-            for alias in node.names:
-                if _is_legacy_name(alias.name):
-                    yield (path, node.lineno, "legacy-isolation",
-                           f"module-level import of legacy name "
-                           f"{alias.name!r}")
-        else:
-            for alias in node.names:
-                if _is_legacy_name(alias.name):
-                    yield (path, node.lineno, "legacy-isolation",
-                           f"module-level import of {alias.name!r}")
 
 
 def check_clock_injection(path: Path, rel: str,
@@ -202,7 +149,7 @@ def check_no_exec(path: Path, rel: str,
                    f"build evaluators in-process from the IR")
 
 
-#: repro packages/modules the serving layer may import (rule 5) —
+#: repro packages/modules the serving layer may import (rule 4) —
 #: the facade, the store/kernel behind it, budgets, and perf
 #: counters.  A prefix matches itself and any submodule.
 SERVE_ALLOWED_PREFIXES = (
@@ -261,7 +208,7 @@ def check_serve_isolation(path: Path, rel: str,
                            f"facade / ArtifactStore / Budget)")
 
 
-#: repro packages/modules the proof checker may import (rule 7) — the
+#: repro packages/modules the proof checker may import (rule 6) — the
 #: proof package itself, the CNF representation, and budgets.  No
 #: engine internals: independence is the checker's whole value.
 PROOF_ALLOWED_PREFIXES = (
@@ -313,7 +260,7 @@ def check_proof_isolation(path: Path, rel: str,
                            f"independent of what it audits)")
 
 
-#: modules allowed to construct CircuitIR/IrBuilder (rule 6),
+#: modules allowed to construct CircuitIR/IrBuilder (rule 5),
 #: relative to src/repro
 REWRITE_ALLOWED = (
     "ir/core.py",
@@ -380,7 +327,6 @@ def collect_violations(src_root: Path,
             violations.append((path, error.lineno or 0, "parse",
                                f"syntax error: {error.msg}"))
             continue
-        violations.extend(check_legacy_isolation(path, rel, tree))
         violations.extend(check_clock_injection(path, rel, tree))
         violations.extend(check_flag_trust(path, rel, tree))
         violations.extend(check_no_exec(path, rel, tree))
