@@ -32,8 +32,12 @@ Three modes (``REPRO_GATE`` env var or :func:`set_gate_mode` /
 
 The gate lives under :meth:`IrKernel._gated`, so every front door
 that dispatches through the unified kernel — ``nnf.queries``, the
-``sdd``/``psdd``/``obdd`` query paths, ``wmc`` — is covered by the
-one choke point.
+``sdd``/``obdd`` query paths, the PSDD's MAR, MAR batches, MPE,
+support size and EM, and every ``ArithmeticCircuit`` method — is
+covered by the one choke point.  Four PSDD passes run on the PSDD
+itself and stay outside it: ``variable_marginals``, ``entropy``,
+``kl_divergence`` and ``learn_parameters`` (their docstrings say
+why).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ every query family on the circuit:
 * model count and WMC (determinism; non-smooth circuits handled by
   scaling or-gate gaps),
 * MPE upward max-product pass plus traceback,
-* marginal derivatives (smoothness),
+* count and WMC derivatives (smoothness),
 * evaluation under complete assignments,
 * the numpy batch variants of WMC / evaluation / derivatives (one
   length-N row per node, linear and log space).
@@ -579,6 +579,20 @@ class IrKernel:
         counts = self._up(_SMOOTH_COUNT)
         self._derivatives = self._down(_SMOOTH_COUNT, counts)
         return self._derivatives
+
+    def weighted_derivatives(self, weights: Weights,
+                             stats: Counter | None = None,
+                             params: Params = None
+                             ) -> Tuple[List[float], List[float]]:
+        """The scalar :meth:`derivatives_batch`: every node's value and
+        ∂(root value)/∂(node value) under one weight map, from the
+        upward and downward passes in :meth:`wmc`'s linear semiring."""
+        self._gated("derivatives")  # gate only: node-indexed result
+        semiring = _weighted(0.0, 1.0, operator.mul, operator.add,
+                             self._leaf(weights, None, params), weights)
+        self._sweeps(stats, passes=2)
+        values = self._up(semiring)
+        return values, self._down(semiring, values)
 
     def marginals(self, stats: Counter | None = None, *,
                   scope: Scope = None) -> Dict[int, int]:

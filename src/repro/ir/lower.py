@@ -17,6 +17,8 @@ for execution:
   ``θₖ ∧ primeₖ ∧ subₖ``.  The lowering returns the parameter vector
   read from the *live* nodes, so in-place learning/EM updates are
   picked up by the next query without rebuilding (no stale memos);
+  :func:`psdd_slots` names the θ each parameter leaf reads, which is
+  how EM maps the kernel's derivatives back onto the nodes;
 * :func:`ac_to_ir` — the smoothed d-DNNF under an arithmetic circuit.
 
 Property flags are computed once here and carried in the IR header;
@@ -37,7 +39,7 @@ from .core import (CircuitIR, IrBuilder, FLAG_DECOMPOSABLE,
                    KIND_AND, KIND_LIT, KIND_OR, KIND_PARAM, KIND_TRUE)
 
 __all__ = ["nnf_to_ir", "ir_to_nnf", "obdd_to_ir", "sdd_to_ir",
-           "psdd_to_ir", "ac_to_ir", "structural_flags"]
+           "psdd_to_ir", "psdd_slots", "ac_to_ir", "structural_flags"]
 
 
 def structural_flags(ir: CircuitIR) -> int:
@@ -203,17 +205,57 @@ def sdd_to_ir(node: Any, intern: bool = True) -> CircuitIR:
 
 #: bounded cache psdd-node-id → (ir, parameter slots); PSDD ids are
 #: globally unique, so collisions are impossible
-_PSDD_IR_CACHE: Dict[int, Tuple[CircuitIR, List[Tuple]]] = {}
+_PSDD_IR_CACHE: Dict[int, Tuple[CircuitIR, List[Tuple[Any, int]]]] = {}
 _PSDD_IR_LIMIT = 256
 
 
-def _psdd_param(slot: Tuple) -> float:
-    tag, node, extra = slot
-    if tag == "b+":
-        return node.theta
-    if tag == "b-":
-        return 1.0 - node.theta
-    return node.elements[extra][2]
+def _psdd_param(slot: Tuple[Any, int]) -> float:
+    node, k = slot
+    if node.is_bernoulli:
+        return node.theta if k else 1.0 - node.theta
+    return node.elements[k][2]
+
+
+def psdd_slots(root: Any) -> Tuple[CircuitIR, List[Tuple[Any, int]]]:
+    """The structure :func:`psdd_to_ir` returns, and what each of its
+    ``KIND_PARAM`` leaves reads: slot ``s`` is ``(node, k)``, the θ of
+    element ``k`` of a decision node, or of a Bernoulli node its θ
+    (``k = 1``, the arm of the positive literal) or 1 − θ (``k = 0``).
+    """
+    cached = _PSDD_IR_CACHE.get(root.id)
+    if cached is None:
+        builder = IrBuilder()
+        slots: List[Tuple[Any, int]] = []
+        index: Dict[int, int] = {}
+
+        def param(node: Any, k: int) -> int:
+            slots.append((node, k))
+            return builder.param(len(slots) - 1)
+
+        for node in root.descendants():
+            if node.is_literal:
+                index[node.id] = builder.literal(node.literal)
+            elif node.is_bernoulli:
+                var = abs(node.literal)
+                index[node.id] = builder.disjoin((
+                    builder.conjoin((param(node, 1),
+                                     builder.literal(var))),
+                    builder.conjoin((param(node, 0),
+                                     builder.literal(-var)))))
+            else:
+                index[node.id] = builder.disjoin(
+                    builder.conjoin((param(node, k),
+                                     index[prime.id], index[sub.id]))
+                    for k, (prime, sub, _theta)
+                    in enumerate(node.elements))
+        # full-vtree normalization makes PSDDs smooth by construction
+        flags = (FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC | FLAG_SMOOTH |
+                 FLAG_STRUCTURED)
+        ir = builder.finish(index[root.id], flags=flags, intern=False)
+        if len(_PSDD_IR_CACHE) >= _PSDD_IR_LIMIT:
+            _PSDD_IR_CACHE.clear()
+        cached = _PSDD_IR_CACHE[root.id] = (ir, slots)
+    return cached
 
 
 def psdd_to_ir(root: Any) -> Tuple[CircuitIR, List[float]]:
@@ -225,40 +267,7 @@ def psdd_to_ir(root: Any) -> Tuple[CircuitIR, List[float]]:
     the structural IR (and its kernel, and its memoised *pure* results)
     can never go stale under parameter updates.
     """
-    cached = _PSDD_IR_CACHE.get(root.id)
-    if cached is None:
-        builder = IrBuilder()
-        slots: List[Tuple] = []
-        index: Dict[int, int] = {}
-
-        def param(slot: Tuple) -> int:
-            slots.append(slot)
-            return builder.param(len(slots) - 1)
-
-        for node in root.descendants():
-            if node.is_literal:
-                index[node.id] = builder.literal(node.literal)
-            elif node.is_bernoulli:
-                var = abs(node.literal)
-                index[node.id] = builder.disjoin((
-                    builder.conjoin((param(("b+", node, None)),
-                                     builder.literal(var))),
-                    builder.conjoin((param(("b-", node, None)),
-                                     builder.literal(-var)))))
-            else:
-                index[node.id] = builder.disjoin(
-                    builder.conjoin((param(("el", node, k)),
-                                     index[prime.id], index[sub.id]))
-                    for k, (prime, sub, _theta)
-                    in enumerate(node.elements))
-        # full-vtree normalization makes PSDDs smooth by construction
-        flags = (FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC | FLAG_SMOOTH |
-                 FLAG_STRUCTURED)
-        ir = builder.finish(index[root.id], flags=flags, intern=False)
-        if len(_PSDD_IR_CACHE) >= _PSDD_IR_LIMIT:
-            _PSDD_IR_CACHE.clear()
-        cached = _PSDD_IR_CACHE[root.id] = (ir, slots)
-    ir, slots = cached
+    ir, slots = psdd_slots(root)
     return ir, [_psdd_param(slot) for slot in slots]
 
 
@@ -266,8 +275,9 @@ def psdd_to_ir(root: Any) -> Tuple[CircuitIR, List[float]]:
 
 def ac_to_ir(ac: Any, intern: bool = True) -> CircuitIR:
     """Lower an :class:`~repro.wmc.arithmetic_circuit.ArithmeticCircuit`:
-    its root is a smoothed d-DNNF (compiler output), so the full flag
-    set applies.  Free variables stay the AC's own bookkeeping."""
+    its root is a smoothed d-DNNF (compiler output) that mentions every
+    variable the AC lists, so the full flag set applies and the IR's
+    variables are the AC's."""
     return nnf_to_ir(
         ac.root,
         flags=FLAG_DECOMPOSABLE | FLAG_DETERMINISTIC | FLAG_SMOOTH,

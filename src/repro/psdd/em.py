@@ -2,16 +2,16 @@
 
 With missing values, ML parameters have no closed form; EM alternates:
 
-* E-step — for each partial example, compute the expected number of
-  times each element / Bernoulli value fires, by an upward (marginal)
-  pass followed by a downward flow pass on the PSDD;
+* E-step — for each partial example, the expected number of times each
+  element / Bernoulli value fires;
 * M-step — normalise the expected counts, exactly as in the complete-
   data learner.
 
-The flow computation is the standard probabilistic-circuits recipe:
-``flow(root) = 1``; an or-element (p, s, θ) receives
-``flow(node) · θ·val(p)·val(s) / val(node)``, which it passes to both
-its prime and its sub.
+The E-step is one batched differential pass on the kernel of the
+lowered PSDD (:meth:`repro.ir.kernel.IrKernel.derivatives_batch`), one
+column per example: under evidence e the expected count of a parameter
+θ is θ·∂Pr(e)/∂θ / Pr(e), and :func:`repro.ir.lower.psdd_slots` names
+the θ each parameter leaf reads.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ PartialData = Sequence[Tuple[Mapping[int, bool], float]]
 
 
 def incomplete_log_likelihood(root: PsddNode, data: PartialData) -> float:
-    """Σ count · log Pr(partial example) (marginal likelihood)."""
-    from .queries import marginal
+    """Σ count · log Pr(partial example) (marginal likelihood), from one
+    :func:`~repro.psdd.queries.marginal_batch` over the examples."""
+    from .queries import marginal_batch
+    data = list(data)
     total = 0.0
-    for evidence, count in data:
-        p = marginal(root, evidence)
+    for (_evidence, count), p in zip(
+            data, marginal_batch(root, [e for e, _ in data])):
         if p == 0.0:
             return float("-inf")
         total += count * math.log(p)
@@ -46,107 +48,67 @@ def em_learn(root: PsddNode, data: PartialData, iterations: int = 30,
     keeps parameters off the boundary, which EM cannot leave).  Stops
     early when the likelihood improves by less than ``tolerance``.
     """
+    data = list(data)
     trace: List[float] = []
     for _ in range(iterations):
-        element_counts: Dict[int, List[float]] = {}
-        bernoulli_counts: Dict[int, List[float]] = {}
-        for node in root.descendants():
-            if node.is_decision:
-                element_counts[node.id] = [0.0] * len(node.elements)
-            elif node.is_bernoulli:
-                bernoulli_counts[node.id] = [0.0, 0.0]
-        log_likelihood = 0.0
-        for evidence, count in data:
-            p = _accumulate_flows(root, evidence, count,
-                                  element_counts, bernoulli_counts)
-            if p == 0.0:
-                raise ValueError(
-                    f"evidence {dict(evidence)} has probability zero "
-                    "under the current parameters")
-            log_likelihood += count * math.log(p)
+        log_likelihood, counts = _expected_counts(root, data)
         trace.append(log_likelihood)
-        _m_step(root, element_counts, bernoulli_counts, alpha)
+        _m_step(root, counts, alpha)
         if len(trace) >= 2 and trace[-1] - trace[-2] < tolerance:
             break
     return trace
 
 
-def _evidence_value(node: PsddNode, evidence: Mapping[int, bool],
-                    cache: Dict[int, float]) -> float:
-    hit = cache.get(node.id)
-    if hit is not None:
-        return hit
-    if node.is_literal:
-        var = abs(node.literal)
-        if var in evidence:
-            value = 1.0 if evidence[var] == (node.literal > 0) else 0.0
-        else:
-            value = 1.0
-    elif node.is_bernoulli:
-        var = abs(node.literal)
-        if var in evidence:
-            value = node.theta if evidence[var] else 1.0 - node.theta
-        else:
-            value = 1.0
-    else:
-        value = sum(theta
-                    * _evidence_value(prime, evidence, cache)
-                    * _evidence_value(sub, evidence, cache)
-                    for prime, sub, theta in node.elements)
-    cache[node.id] = value
-    return value
+def _expected_counts(root: PsddNode, data: PartialData
+                     ) -> Tuple[float, Dict[int, List[float]]]:
+    """One E-step: the log-likelihood of ``data`` and, per decision or
+    Bernoulli node id, the expected count of each of its θs (one per
+    element; a Bernoulli's ``[¬X, X]``)."""
+    import numpy as np
+    from ..ir import ir_kernel, psdd_to_ir
+    from ..ir.core import KIND_PARAM
+    from ..ir.lower import psdd_slots
+    from .queries import _evidence_batch
+    ir, params = psdd_to_ir(root)
+    slots = psdd_slots(root)[1]
+    kernel = ir_kernel(ir)
+    values, derivatives = kernel.derivatives_batch(
+        _evidence_batch(ir.variables(), [e for e, _ in data]),
+        params=params)
+    probabilities = values[-1]
+    log_likelihood = 0.0
+    for (evidence, count), p in zip(data, probabilities):
+        if p == 0.0:
+            raise ValueError(
+                f"evidence {dict(evidence)} has probability zero "
+                "under the current parameters")
+        log_likelihood += count * math.log(p)
+    # example j weighs count_j / Pr(e_j)
+    shares = np.array([count for _, count in data], dtype=float) \
+        / probabilities
+    counts: Dict[int, List[float]] = {
+        node.id: [0.0] * (len(node.elements) if node.is_decision else 2)
+        for node in root.descendants() if not node.is_literal}
+    for i in range(kernel.n):
+        if kernel.kinds[i] == KIND_PARAM:
+            slot = kernel.lits[i]
+            node, k = slots[slot]
+            counts[node.id][k] += params[slot] * float(
+                derivatives[i] @ shares)
+    return log_likelihood, counts
 
 
-def _accumulate_flows(root: PsddNode, evidence: Mapping[int, bool],
-                      count: float,
-                      element_counts: Dict[int, List[float]],
-                      bernoulli_counts: Dict[int, List[float]]) -> float:
-    """One E-step example: returns Pr(evidence), adds expected counts."""
-    values: Dict[int, float] = {}
-    p_evidence = _evidence_value(root, evidence, values)
-    if p_evidence == 0.0:
-        return 0.0
-    flows: Dict[int, float] = {root.id: count}
-    order = root.descendants()  # children first; traverse reversed
-    for node in reversed(order):
-        flow = flows.get(node.id, 0.0)
-        if flow == 0.0:
-            continue
-        if node.is_bernoulli:
-            var = abs(node.literal)
-            if var in evidence:
-                bernoulli_counts[node.id][1 if evidence[var] else 0] += \
-                    flow
-            else:
-                bernoulli_counts[node.id][1] += flow * node.theta
-                bernoulli_counts[node.id][0] += flow * (1.0 - node.theta)
-        elif node.is_decision:
-            total = values[node.id]
-            if total == 0.0:
-                continue
-            for i, (prime, sub, theta) in enumerate(node.elements):
-                contribution = theta * values[prime.id] * values[sub.id]
-                if contribution == 0.0:
-                    continue
-                share = flow * contribution / total
-                element_counts[node.id][i] += share
-                flows[prime.id] = flows.get(prime.id, 0.0) + share
-                flows[sub.id] = flows.get(sub.id, 0.0) + share
-    return p_evidence
-
-
-def _m_step(root: PsddNode, element_counts: Dict[int, List[float]],
-            bernoulli_counts: Dict[int, List[float]],
+def _m_step(root: PsddNode, counts: Dict[int, List[float]],
             alpha: float) -> None:
     for node in root.descendants():
         if node.is_decision:
-            counts = element_counts[node.id]
-            total = sum(counts) + alpha * len(counts)
+            node_counts = counts[node.id]
+            total = sum(node_counts) + alpha * len(node_counts)
             if total > 0:
                 for i, element in enumerate(node.elements):
-                    element[2] = (counts[i] + alpha) / total
+                    element[2] = (node_counts[i] + alpha) / total
         elif node.is_bernoulli:
-            neg, pos = bernoulli_counts[node.id]
+            neg, pos = counts[node.id]
             total = neg + pos + 2 * alpha
             if total > 0:
                 node.theta = (pos + alpha) / total

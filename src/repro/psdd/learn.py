@@ -32,6 +32,11 @@ def learn_parameters(root: PsddNode, data: WeightedData,
     alpha:
         Laplace smoothing pseudo-count added per element / per Bernoulli
         value (0 = plain maximum likelihood).
+
+    Complete data walks each example's active path instead of running
+    EM's kernel derivative pass: the counts it adds are the data's own,
+    exact, where θ·∂Pr(x)/∂θ / Pr(x) would round them, and the walk
+    names an example that falls outside the support.
     """
     element_counts: Dict[int, List[float]] = {}
     bernoulli_counts: Dict[int, List[float]] = {}  # [neg, pos]

@@ -3,22 +3,46 @@
 The paper: "Both MPE and MAR queries can be computed in time linear in
 the PSDD size [44]."
 
-Two many-query fast paths live here as well: ``marginal_batch``
-answers N evidence instantiations in one numpy sweep over the PSDD
-(one length-N row per node), and ``variable_marginals`` computes
-Pr(X=1) for *every* variable from a single upward + downward
-derivative pass instead of |vars| full evaluations.
+``marginal``, ``marginal_batch``, ``mpe`` and ``support_size`` answer
+on the kernel of the lowered PSDD (:func:`repro.ir.lower.psdd_to_ir`:
+the θs are parameter leaves re-read per call, and evidence becomes 0/1
+literal weights), so the query gate covers them.  Three passes stay on
+the PSDD itself, each for the reason its docstring gives:
+``variable_marginals``, ``entropy`` and ``kl_divergence``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .psdd import PsddNode
 
 __all__ = ["marginal", "marginal_batch", "mpe", "entropy",
            "kl_divergence", "support_size", "variable_marginals"]
+
+
+def _evidence_weights(variables: Iterable[int],
+                      evidence: Mapping[int, bool]) -> Dict[int, float]:
+    """Literal weights of a partial assignment: the literal of a set
+    variable that contradicts it weighs 0, every other literal 1."""
+    weights: Dict[int, float] = {}
+    for var in variables:
+        weights[var] = 0.0 if var in evidence and not evidence[var] \
+            else 1.0
+        weights[-var] = 0.0 if var in evidence and evidence[var] else 1.0
+    return weights
+
+
+def _evidence_batch(variables: Iterable[int],
+                    evidence_batch: Sequence[Mapping[int, bool]]
+                    ) -> Dict[int, "object"]:
+    """The evidence weights of N partial assignments as literal →
+    length-N arrays."""
+    from ..ir.kernel import pack_weight_batch
+    variables = list(variables)
+    return pack_weight_batch([_evidence_weights(variables, evidence)
+                              for evidence in evidence_batch], variables)
 
 
 def marginal(root: PsddNode, evidence: Mapping[int, bool]) -> float:
@@ -32,59 +56,23 @@ def marginal(root: PsddNode, evidence: Mapping[int, bool]) -> float:
     """
     from ..ir import ir_kernel, psdd_to_ir
     ir, params = psdd_to_ir(root)
-    weights: Dict[int, float] = {}
-    for var in ir.variables():
-        if var in evidence:
-            weights[var] = 1.0 if evidence[var] else 0.0
-            weights[-var] = 0.0 if evidence[var] else 1.0
-        else:
-            weights[var] = weights[-var] = 1.0
-    return ir_kernel(ir).wmc(weights, params=params)
+    return ir_kernel(ir).wmc(_evidence_weights(ir.variables(), evidence),
+                             params=params)
 
 
 def marginal_batch(root: PsddNode,
                    evidence_batch: Sequence[Mapping[int, bool]]
                    ) -> "object":
-    """Pr(evidence) for N partial assignments in one numpy sweep.
+    """Pr(evidence) for N partial assignments in one batched pass.
 
     Column ``j`` of the returned length-N float array equals
-    ``marginal(root, evidence_batch[j])``; each PSDD node is visited
-    once with a length-N value row.
+    ``marginal(root, evidence_batch[j])``: one kernel ``wmc_batch``
+    over a column of evidence weights per assignment.
     """
-    import numpy as np
-    evidence_batch = list(evidence_batch)
-    n = len(evidence_batch)
-    # per-variable "is set" masks and set values, built lazily
-    set_mask: Dict[int, object] = {}
-    set_value: Dict[int, object] = {}
-
-    def columns(var: int):
-        if var not in set_mask:
-            set_mask[var] = np.array([var in e for e in evidence_batch],
-                                     dtype=bool)
-            set_value[var] = np.array([e.get(var, False)
-                                       for e in evidence_batch],
-                                      dtype=bool)
-        return set_mask[var], set_value[var]
-
-    values: Dict[int, object] = {}
-    ones = np.ones(n)
-    for node in root.descendants():
-        if node.is_literal:
-            mask, value = columns(abs(node.literal))
-            match = value == (node.literal > 0)
-            row = np.where(mask, match.astype(float), ones)
-        elif node.is_bernoulli:
-            mask, value = columns(abs(node.literal))
-            row = np.where(mask,
-                           np.where(value, node.theta, 1.0 - node.theta),
-                           ones)
-        else:
-            row = np.zeros(n)
-            for prime, sub, theta in node.elements:
-                row = row + theta * values[prime.id] * values[sub.id]
-        values[node.id] = row
-    return values[root.id]
+    from ..ir import ir_kernel, psdd_to_ir
+    ir, params = psdd_to_ir(root)
+    return ir_kernel(ir).wmc_batch(
+        _evidence_batch(ir.variables(), evidence_batch), params=params)
 
 
 def variable_marginals(root: PsddNode) -> Dict[int, float]:
@@ -96,6 +84,12 @@ def variable_marginals(root: PsddNode) -> Dict[int, float]:
     mass flowing through it, and Pr(X = 1) is the derivative-weighted
     sum of the leaf distributions over X — |vars| evaluations collapse
     into a single traversal.
+
+    It stays on the PSDD because skipping the upward pass pays: on
+    103–6,737-element PSDDs it ran 2.5–4.1× faster than the kernel's
+    scalar ``weighted_derivatives`` and 6–24× faster than its batched
+    passes (a two-core Xeon, best of 20), and
+    ``benchmarks/run_all.py``'s ``psdd_marginals`` times it.
     """
     order = root.descendants()
     derivative: Dict[int, float] = {node.id: 0.0 for node in order}
@@ -126,90 +120,34 @@ def variable_marginals(root: PsddNode) -> Dict[int, float]:
 
 def mpe(root: PsddNode, evidence: Mapping[int, bool] | None = None
         ) -> Tuple[Dict[int, bool], float]:
-    """The most probable completion of ``evidence`` and its probability."""
+    """The most probable completion of ``evidence`` and its probability:
+    the kernel's max-product pass and traceback.  The model holds every
+    evidence variable; evidence of probability zero answers
+    ``(evidence, 0.0)``."""
+    from ..ir import ir_kernel, psdd_to_ir
     evidence = dict(evidence or {})
-    value_cache: Dict[int, float] = {}
-    choice_cache: Dict[int, int] = {}
-
-    def value(node: PsddNode) -> float:
-        hit = value_cache.get(node.id)
-        if hit is not None:
-            return hit
-        if node.is_literal:
-            var = abs(node.literal)
-            if var in evidence:
-                result = 1.0 if evidence[var] == (node.literal > 0) else 0.0
-            else:
-                result = 1.0
-        elif node.is_bernoulli:
-            var = abs(node.literal)
-            if var in evidence:
-                result = node.theta if evidence[var] else 1.0 - node.theta
-            else:
-                result = max(node.theta, 1.0 - node.theta)
-        else:
-            best, best_index = -1.0, 0
-            for i, (prime, sub, theta) in enumerate(node.elements):
-                candidate = theta * value(prime) * value(sub)
-                if candidate > best:
-                    best, best_index = candidate, i
-            choice_cache[node.id] = best_index
-            result = best
-        value_cache[node.id] = result
-        return result
-
-    best_value = value(root)
-    assignment: Dict[int, bool] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_literal:
-            assignment[abs(node.literal)] = node.literal > 0
-        elif node.is_bernoulli:
-            var = abs(node.literal)
-            if var in evidence:
-                assignment[var] = evidence[var]
-            else:
-                assignment[var] = node.theta >= 1.0 - node.theta
-        else:
-            prime, sub, _theta = node.elements[choice_cache[node.id]]
-            stack.append(prime)
-            stack.append(sub)
-    # evidence may pin literals that the chosen path already fixed; the
-    # path choice respected evidence through the value computation, but a
-    # literal node contradicting evidence can be chosen only when the
-    # evidence has probability 0
-    for var, value_ in evidence.items():
-        if assignment.get(var, value_) != value_:
-            return dict(evidence), 0.0
-        assignment[var] = value_
-    return assignment, best_value
+    ir, params = psdd_to_ir(root)
+    value, model = ir_kernel(ir).mpe(
+        _evidence_weights(ir.variables(), evidence), params=params)
+    if value == 0.0:
+        return evidence, 0.0
+    model.update(evidence)
+    return model, value
 
 
 def support_size(root: PsddNode) -> int:
-    """Number of assignments in the support (satisfying SDD inputs)."""
-    cache: Dict[int, int] = {}
-
-    def count(node: PsddNode) -> int:
-        hit = cache.get(node.id)
-        if hit is not None:
-            return hit
-        if node.is_literal:
-            result = 1
-        elif node.is_bernoulli:
-            result = 2
-        else:
-            result = sum(count(prime) * count(sub)
-                         for prime, sub, _theta in node.elements)
-        cache[node.id] = result
-        return result
-
-    return count(root)
+    """Number of assignments in the support (satisfying SDD inputs): the
+    lowered circuit's model count, in which every θ leaf counts 1."""
+    from ..ir import ir_kernel, psdd_to_ir
+    return ir_kernel(psdd_to_ir(root)[0]).model_count()
 
 
 def entropy(root: PsddNode) -> float:
     """Shannon entropy (nats) of the PSDD distribution, computed
-    recursively: H(node) = Σᵢ θᵢ (−log θᵢ + H(primeᵢ) + H(subᵢ))."""
+    recursively: H(node) = Σᵢ θᵢ (−log θᵢ + H(primeᵢ) + H(subᵢ)).
+
+    A PSDD pass, not a kernel query: each node carries an expectation
+    over θ logs, a semiring the kernel does not have."""
     cache: Dict[int, float] = {}
 
     def h(node: PsddNode) -> float:
@@ -242,7 +180,10 @@ def _bernoulli_entropy(theta: float) -> float:
 def kl_divergence(p_root: PsddNode, q_root: PsddNode) -> float:
     """KL(P ‖ Q) for two PSDDs with *identical structure* (same circuit,
     different parameters) — the common case after learning the same
-    compiled SDD on two datasets."""
+    compiled SDD on two datasets.
+
+    A PSDD pass, not a kernel query: it walks two circuits in step and
+    checks that they share structure, where a kernel runs one."""
     cache: Dict[Tuple[int, int], float] = {}
 
     def kl(p: PsddNode, q: PsddNode) -> float:

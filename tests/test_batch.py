@@ -1,14 +1,14 @@
 """Property-based cross-checks for the batched evaluation layer.
 
-Every batched numpy path introduced by the vectorized-evaluation PR
-must agree with its scalar oracle: kernel WMC / evaluation /
-derivatives (linear and log space), the facade's weight batches,
-arithmetic-circuit queries, pipeline marginals, PSDD marginals,
-classifier dataset scoring, and OBDD counterfactual probes.  The
-scalar implementations are kept precisely to serve as these oracles,
-so the comparisons below run over hundreds of randomly generated
-circuits, weight vectors, and evidence sets — including batch size 1
-and zero-probability weights.
+Every batched numpy path must agree with its oracle: kernel WMC /
+evaluation / derivatives (linear and log space) and the facade's
+weight batches with the scalar kernel, arithmetic-circuit queries with
+weighted model counting by enumeration, pipeline marginals with their
+scalar twins, PSDD marginals with the seed's walkers, classifier
+dataset scoring, and OBDD counterfactual probes.  The comparisons
+below run over hundreds of randomly generated circuits, weight
+vectors, and evidence sets — including batch size 1 and
+zero-probability weights.
 """
 
 import copy
@@ -33,13 +33,12 @@ from repro.ir.kernel import pack_weight_batch
 from repro.logic.cnf import Cnf
 from repro.nnf import queries
 from repro.nnf.node import NnfNode
-from repro.psdd import (learn_parameters, marginal, marginal_batch,
-                        psdd_from_sdd, sample_dataset,
-                        variable_marginals)
+from repro.psdd import (learn_parameters, marginal_batch, psdd_from_sdd,
+                        sample_dataset, variable_marginals)
 from repro.sdd import compile_cnf_sdd
 from repro.wmc.arithmetic_circuit import ArithmeticCircuit
 from repro.wmc.pipeline import WmcPipeline
-from tests.oracles import psdd_walkers
+from tests.oracles import psdd_walkers, weighted_models
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RTOL = 1e-9
@@ -282,53 +281,59 @@ class TestFacadeBatches:
 
 
 class TestArithmeticCircuitBatches:
-    """AC-level batches, including free (unmentioned) variables."""
+    """AC-level batches, including free (unmentioned) variables, against
+    weighted model counting by enumeration."""
 
     def circuits(self):
         out = []
         for root, rng in compiled_circuits(5, first_seed=80):
             # two variables beyond the circuit's support => free vars
             variables = sorted(root.variables() | {95, 96})
-            out.append((ArithmeticCircuit(root, variables), rng))
+            out.append((ArithmeticCircuit(root, variables),
+                        weighted_models.models(root, variables), rng))
         return out
 
     def test_evaluate_batch(self):
-        for ac, rng in self.circuits():
+        for ac, found, rng in self.circuits():
             maps = [random_weights(ac.variables, rng) for _ in range(10)]
             batch = ac.evaluate_batch(maps)
             for j, weights in enumerate(maps):
-                assert_close(batch[j], ac.evaluate(weights), f"eval {j}")
+                assert_close(batch[j], weighted_models.wmc(found, weights),
+                             f"eval {j}")
 
     def test_evaluate_log_batch(self):
-        for ac, rng in self.circuits():
+        for ac, found, rng in self.circuits():
             maps = [random_weights(ac.variables, rng) for _ in range(6)]
             log_batch = ac.evaluate_log_batch(maps)
             for j, weights in enumerate(maps):
-                assert_close(np.exp(log_batch[j]), ac.evaluate(weights),
+                assert_close(np.exp(log_batch[j]),
+                             weighted_models.wmc(found, weights),
                              f"logeval {j}")
 
     def test_derivatives_batch(self):
         cases = 0
-        for ac, rng in self.circuits():
+        for ac, found, rng in self.circuits():
             maps = [random_weights(ac.variables, rng) for _ in range(8)]
             batch = ac.derivatives_batch(maps)
             for j, weights in enumerate(maps):
-                scalar = ac.derivatives(weights)
-                assert set(batch) == set(scalar)
+                brute = weighted_models.derivatives(found, ac.variables,
+                                                    weights)
+                assert set(batch) == set(brute)
                 for lit, column in batch.items():
-                    assert_close(column[j], scalar[lit],
+                    assert_close(column[j], brute[lit],
                                  f"d case {cases} lit {lit}")
                 cases += 1
         assert cases == 40
 
     def test_literal_marginals_batch(self):
-        for ac, rng in self.circuits()[:3]:
+        for ac, found, rng in self.circuits()[:3]:
             maps = [random_weights(ac.variables, rng) for _ in range(5)]
             batch = ac.literal_marginals_batch(maps)
             for j, weights in enumerate(maps):
-                scalar = ac.literal_marginals(weights)
-                for lit in scalar:
-                    assert_close(batch[lit][j], scalar[lit],
+                brute = weighted_models.derivatives(found, ac.variables,
+                                                    weights)
+                for lit in brute:
+                    assert_close(batch[lit][j], weights[lit] * brute[lit],
                                  f"marg lit {lit}")
 
 
@@ -413,6 +418,7 @@ class TestPsddBatches:
                 assert_close(new[var], old[var], f"var {var}")
 
     def test_marginal_batch_matches_scalar(self):
+        """Each column equals the seed's recursive MAR walker."""
         cases = 0
         for psdd, rng in self.learned_psdds(5):
             variables = sorted(psdd.variables())
@@ -424,7 +430,8 @@ class TestPsddBatches:
             evidence[0] = {}
             batch = marginal_batch(psdd, evidence)
             for j, e in enumerate(evidence):
-                assert_close(batch[j], marginal(psdd, e), f"psdd {cases}")
+                assert_close(batch[j], psdd_walkers.marginal(psdd, e),
+                             f"psdd {cases}")
                 cases += 1
         assert cases == 100
 

@@ -27,7 +27,7 @@ from repro.nnf import queries
 from repro.nnf.queries import get_kernel
 from repro.perf.instrument import Counter
 from tests.oracles import (nnf_walkers, obdd_walkers, psdd_walkers,
-                           sdd_walkers)
+                           sdd_walkers, weighted_models)
 
 
 def random_cnf(rng, max_vars=7):
@@ -150,8 +150,9 @@ def test_psdd_kernel_matches_legacy_walker():
 
 
 def test_ac_kernel_matches_evaluate():
-    """40 random arithmetic circuits: the lowered IR's WMC equals the
-    AC's own evaluator."""
+    """40 random arithmetic circuits: the lowered IR mentions every
+    listed variable, and its WMC equals weighted model counting by
+    enumeration."""
     from repro.wmc.arithmetic_circuit import ArithmeticCircuit
     rng = random.Random(5903)
     for _ in range(40):
@@ -161,10 +162,13 @@ def test_ac_kernel_matches_evaluate():
         ac = ArithmeticCircuit(root, variables)
         weights = random_weights(rng, variables)
         ir = ac.to_ir()
-        value = ir_kernel(ir).wmc(weights)
-        for var in set(variables) - ir.variables():
-            value *= weights[var] + weights[-var]
-        assert value == pytest.approx(ac.evaluate(weights))
+        if not ir.variables():  # unsatisfiable: the circuit is ⊥
+            assert ir_kernel(ir).wmc(weights) == 0.0
+            continue
+        assert ir.variables() == set(variables)
+        assert ir_kernel(ir).wmc(weights) == pytest.approx(
+            weighted_models.wmc(weighted_models.models(root, variables),
+                                weights))
 
 
 # -- to_ir() coverage: every family lowers ----------------------------------

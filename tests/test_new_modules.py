@@ -153,6 +153,81 @@ def test_em_improves_over_uniform_start():
     assert after > before
 
 
+def _active_parameters(psdd, assignment):
+    """``(node id, k)`` of every θ a complete ``assignment`` reads: at
+    each decision on its path the element whose prime holds, at each
+    Bernoulli its value (``k = 1`` for X, ``0`` for ¬X)."""
+    used = []
+    stack = [psdd]
+    while stack:
+        node = stack.pop()
+        if node.is_bernoulli:
+            used.append((node.id, int(assignment[abs(node.literal)])))
+        elif node.is_decision:
+            for k, (prime, sub, _theta) in enumerate(node.elements):
+                if prime.contains(assignment):
+                    used.append((node.id, k))
+                    stack.extend((prime, sub))
+                    break
+    return used
+
+
+def test_em_step_sets_brute_force_expected_counts():
+    """One EM iteration with ``alpha=0`` sets every θ to its normalized
+    expected count: each completion x of a partial example e adds
+    count(e) · Pr(x) / Pr(e) to every θ on x's path."""
+    psdd = _enrollment_psdd()
+    rng = random.Random(7)
+    for node in psdd.descendants():
+        if node.is_bernoulli:
+            node.theta = rng.uniform(0.2, 0.8)
+        elif node.is_decision:
+            shares = [rng.uniform(0.2, 1.0) for _ in node.elements]
+            for element, share in zip(node.elements, shares):
+                element[2] = share / sum(shares)
+    data = [({1: True, 2: True}, 20), ({3: False}, 10),
+            ({1: False, 4: False}, 8), ({2: True, 4: True}, 5), ({}, 3)]
+    expected = {}
+    brute_log_likelihood = 0.0
+    for evidence, count in data:
+        completions = [x for x in iter_assignments([1, 2, 3, 4])
+                       if all(x[v] == value
+                              for v, value in evidence.items())]
+        p_evidence = sum(psdd.probability(x) for x in completions)
+        brute_log_likelihood += count * math.log(p_evidence)
+        for x in completions:
+            share = count * psdd.probability(x) / p_evidence
+            if share:
+                for key in _active_parameters(psdd, x):
+                    expected[key] = expected.get(key, 0.0) + share
+    before = [node.theta if node.is_bernoulli
+              else [element[2] for element in node.elements]
+              for node in psdd.descendants() if not node.is_literal]
+
+    trace = em_learn(psdd, data, iterations=1, alpha=0.0)
+
+    assert trace == [pytest.approx(brute_log_likelihood, rel=1e-12)]
+    checked = 0
+    for node in psdd.descendants():
+        if node.is_decision:
+            counts = [expected.get((node.id, k), 0.0)
+                      for k in range(len(node.elements))]
+            for element, count in zip(node.elements, counts):
+                assert element[2] == pytest.approx(count / sum(counts),
+                                                   rel=1e-12)
+                checked += 1
+        elif node.is_bernoulli:
+            neg = expected.get((node.id, 0), 0.0)
+            pos = expected.get((node.id, 1), 0.0)
+            assert node.theta == pytest.approx(pos / (neg + pos),
+                                               rel=1e-12)
+            checked += 1
+    after = [node.theta if node.is_bernoulli
+             else [element[2] for element in node.elements]
+             for node in psdd.descendants() if not node.is_literal]
+    assert checked > 5 and after != before
+
+
 def test_em_rejects_impossible_evidence():
     psdd = _enrollment_psdd()
     # P=0, L=0 violates (P | L): marginal 0

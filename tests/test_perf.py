@@ -15,6 +15,23 @@ from repro.sat.counter import ModelCounter
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: a quick-mode baseline with impossibly fast timings for two scenarios
+FAKE_BASELINE = {
+    "schema": "repro-bench/1", "quick": True, "figures": [],
+    "scenarios": {"sharp_sat": {"optimized_s": 1e-9},
+                  "proof_overhead": {"optimized_s": 1e-9}},
+}
+
+
+def import_run_all():
+    """``benchmarks/run_all.py`` as a module."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
+    try:
+        import run_all
+    finally:
+        sys.path.pop(0)
+    return run_all
+
 
 class TestCounter:
     def test_incr_and_lookup(self):
@@ -159,6 +176,11 @@ def test_run_all_quick_smoke(tmp_path):
     assert explain["reasons_per_s"] > 0, explain
     assert explain["p50_delay_ms"] >= 0, explain
     assert explain["counters"]["explain_probes"] > 0, explain
+    # the regression gate trips on this real report: both scenarios
+    # the fake baseline names ran slower than its impossible timings
+    outcome = import_run_all().compare(report, FAKE_BASELINE)
+    assert sorted(r["what"] for r in outcome["regressions"]) == \
+        ["scenario:proof_overhead", "scenario:sharp_sat"], outcome
 
 
 class TestDriftNormalizedGate:
@@ -169,12 +191,7 @@ class TestDriftNormalizedGate:
 
     @staticmethod
     def _run_all():
-        sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
-        try:
-            import run_all
-        finally:
-            sys.path.pop(0)
-        return run_all
+        return import_run_all()
 
     @staticmethod
     def _report(timings):
@@ -224,29 +241,30 @@ class TestDriftNormalizedGate:
 
 
 @pytest.mark.tier2_bench
-def test_run_all_regression_gate(tmp_path):
+def test_run_all_regression_gate(tmp_path, monkeypatch, capsys):
     """A baseline with impossibly-fast timings must trip the regression
-    gate (exit 2) — and `--advisory` must downgrade it to a warning."""
-    fake_baseline = {
-        "schema": "repro-bench/1", "quick": True, "figures": [],
-        "scenarios": {"sharp_sat": {"optimized_s": 1e-9},
-                      "proof_overhead": {"optimized_s": 1e-9}},
-    }
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    gate (exit 2) — and `--advisory` must downgrade it to a warning.
+
+    ``run_all.main`` runs in-process on two stub scenarios, each slower
+    than the baseline and above ``MIN_GATE_SECONDS``;
+    ``test_run_all_quick_smoke`` shows the real scenarios trip the
+    same gate."""
+    run_all = import_run_all()
+
+    def stub(quick):
+        return {"optimized_s": 1.0, "agree": True, "counters": {}}
+    monkeypatch.setattr(run_all, "SCENARIOS",
+                        {"sharp_sat": stub, "proof_overhead": stub})
     for advisory, expected in ((False, 2), (True, 0)):
         out_dir = tmp_path / ("advisory" if advisory else "strict")
         out_dir.mkdir()
         (out_dir / "BENCH_00000101-000000.json").write_text(
-            json.dumps(fake_baseline))
-        argv = [sys.executable,
-                os.path.join(REPO_ROOT, "benchmarks", "run_all.py"),
-                "--quick", "--skip-figures", "--output-dir",
+            json.dumps(FAKE_BASELINE))
+        argv = ["--quick", "--skip-figures", "--output-dir",
                 str(out_dir)]
         if advisory:
             argv.append("--advisory")
-        proc = subprocess.run(argv, env=env, capture_output=True,
-                              text=True, timeout=600)
-        assert proc.returncode == expected, \
-            (advisory, proc.stdout, proc.stderr)
-        assert "regression(s) vs" in proc.stdout
+        returncode = run_all.main(argv)
+        stdout = capsys.readouterr().out
+        assert returncode == expected, (advisory, stdout)
+        assert "regression(s) vs" in stdout

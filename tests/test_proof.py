@@ -344,6 +344,51 @@ class TestProvedGate:
         assert ir_semantic_digest(ir)  # plain circuits digest fine
 
 
+def psdd_and_ac_queries():
+    """Every PSDD and arithmetic-circuit query that answers on the
+    kernel, each a thunk over fresh circuits of ``SMALL``."""
+    from repro.psdd import (em_learn, incomplete_log_likelihood,
+                            marginal, marginal_batch, mpe,
+                            psdd_from_sdd, support_size)
+    from repro.sdd.compiler import compile_cnf_sdd
+    from repro.wmc import ArithmeticCircuit
+    cnf = Cnf.from_dimacs(SMALL)
+    psdd = psdd_from_sdd(compile_cnf_sdd(cnf)[0])
+    ac = ArithmeticCircuit(DnnfCompiler().compile(cnf), [1, 2, 3, 4, 5])
+    weights = {lit: 0.5 for v in range(1, 6) for lit in (v, -v)}
+    data = [({1: True}, 2.0), ({2: False, 4: True}, 1.0)]
+    return {
+        "marginal": lambda: marginal(psdd, {1: True}),
+        "marginal_batch": lambda: marginal_batch(psdd, [{1: True}, {}]),
+        "mpe": lambda: mpe(psdd, {2: True}),
+        "support_size": lambda: support_size(psdd),
+        "em_learn": lambda: em_learn(psdd, data, iterations=1),
+        "incomplete_log_likelihood":
+            lambda: incomplete_log_likelihood(psdd, data),
+        "ac.evaluate": lambda: ac.evaluate(weights),
+        "ac.derivatives": lambda: ac.derivatives(weights),
+        "ac.literal_marginals": lambda: ac.literal_marginals(weights),
+        "ac.evaluate_batch": lambda: ac.evaluate_batch([weights]),
+        "ac.evaluate_log_batch": lambda: ac.evaluate_log_batch([weights]),
+        "ac.derivatives_batch": lambda: ac.derivatives_batch([weights]),
+        "ac.literal_marginals_batch":
+            lambda: ac.literal_marginals_batch([weights]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(psdd_and_ac_queries()))
+def test_psdd_and_ac_queries_pass_the_gate(name):
+    """No PSDD or AC query answers around the gate: under ``proved``
+    each refuses its unproved circuit, under ``strict`` each answers
+    on certified properties."""
+    clear_proved()
+    with gate_scope("proved"):
+        with pytest.raises(ProofViolation):
+            psdd_and_ac_queries()[name]()
+    with gate_scope("strict"):
+        assert psdd_and_ac_queries()[name]() is not None
+
+
 # -- the serve surface --------------------------------------------------------
 class TestServeProof:
     @pytest.fixture()

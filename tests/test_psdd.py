@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.logic import VarMap, iter_assignments, parse, to_cnf
+from repro.logic import Cnf, VarMap, iter_assignments, parse, to_cnf
 from repro.sdd import SddManager, compile_cnf_sdd, compile_formula_sdd
 from repro.psdd import (entropy, kl_divergence, learn_parameters,
                         log_likelihood, marginal, mpe, psdd_from_sdd,
@@ -162,6 +162,24 @@ def test_mpe_with_evidence():
     brute = max((a for a in iter_assignments([1, 2, 3, 4]) if a[A]),
                 key=psdd.probability)
     assert p == pytest.approx(psdd.probability(brute))
+
+
+def test_mpe_of_evidence_a_certain_bernoulli_rules_out():
+    """Zero-probability evidence answers ``(evidence, 0.0)`` however it
+    is ruled out, here by a θ = 1 Bernoulli rather than by a literal
+    node, and an answer with mass still holds every evidence
+    variable."""
+    root, _manager = compile_cnf_sdd(Cnf([(1, 2)], num_vars=3))
+    psdd = psdd_from_sdd(root)
+    (bernoulli,) = [node for node in psdd.descendants()
+                    if node.is_bernoulli and abs(node.literal) == 3]
+    bernoulli.theta = 1.0
+    assert mpe(psdd, {3: False}) == ({3: False}, 0.0)
+    assert mpe(psdd, {3: False, 9: True}) == ({3: False, 9: True}, 0.0)
+    model, p = mpe(psdd, {3: True, 9: True})
+    assert p == pytest.approx(0.5)
+    assert model[3] is True and model[9] is True
+    assert psdd.probability(model) == pytest.approx(p)
 
 
 def test_entropy_against_enumeration():

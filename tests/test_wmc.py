@@ -11,6 +11,7 @@ from repro.nnf import weighted_model_count
 from repro.sat import count_models
 from repro.wmc import (ArithmeticCircuit, WmcPipeline, encode_binary,
                        encode_multistate)
+from tests.oracles import weighted_models
 
 
 def test_binary_encoding_model_count_is_instantiation_count():
@@ -136,7 +137,9 @@ def test_pipeline_unknown_encoding():
 
 def test_arithmetic_circuit_derivatives():
     """dWMC/dW(l) equals the weighted count of models containing l,
-    with W(l) factored out — checked by brute force."""
+    with W(l) factored out — checked by brute force, on a hand-made
+    CNF and on 60 random ones of at most 10 variables, some of which
+    the circuit never mentions."""
     from repro.logic import Cnf, iter_assignments
     cnf = Cnf([(1, 2), (-2, 3)], num_vars=3)
     root = compile_cnf(cnf)
@@ -152,6 +155,31 @@ def test_arithmetic_circuit_derivatives():
                     w *= weights[v if val else -v]
                 brute += w
         assert marginals[lit] == pytest.approx(brute), lit
+
+    rng = random.Random(2417)
+    unmentioned = 0
+    for _ in range(60):
+        num_vars = rng.randint(1, 10)
+        used = rng.randint(1, num_vars)
+        clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, used)
+                         for _ in range(rng.randint(1, 3)))
+                   for _ in range(rng.randint(0, 2 * used))]
+        root = compile_cnf(Cnf(clauses, num_vars=num_vars))
+        variables = list(range(1, num_vars + 1))
+        unmentioned += num_vars - len(root.variables())
+        ac = ArithmeticCircuit(root, variables)
+        found = weighted_models.models(root, variables)
+        weights = {lit: rng.uniform(0.1, 2.0)
+                   for v in variables for lit in (v, -v)}
+        assert ac.evaluate(weights) == pytest.approx(
+            weighted_models.wmc(found, weights), rel=1e-9, abs=1e-12)
+        brute = weighted_models.derivatives(found, variables, weights)
+        derivatives = ac.derivatives(weights)
+        assert set(derivatives) == set(brute)
+        for lit, value in brute.items():
+            assert derivatives[lit] == pytest.approx(
+                value, rel=1e-9, abs=1e-12), lit
+    assert unmentioned > 60
 
 
 def test_arithmetic_circuit_free_variables():

@@ -86,6 +86,7 @@ QUERY_LAYER = (
     "sdd/queries.py",
     "obdd/ops.py",
     "psdd/queries.py",
+    "psdd/em.py",
     "wmc/pipeline.py",
     "wmc/arithmetic_circuit.py",
     "wmc/encoding.py",

@@ -39,9 +39,15 @@ inputs rarely do).  Per input:
   ``derivatives_log_batch`` on seeded weight rows, and ``derivatives``
   and ``marginals`` of its ``smooth_ir`` twin (floats by ``repr``,
   arrays by their bytes);
+* ``ac``: an ``ArithmeticCircuit`` over the formula's d-DNNF (the
+  plain compile) plus two variables it does not mention, with the
+  input's weights and seeded weights for those two: its scalar
+  ``evaluate``, ``derivatives`` and ``literal_marginals`` (the maps by
+  sorted items, since key order is no part of the answer);
 * ``psdd`` (the ``proof_check`` part only): the PSDD of the formula's
   SDD with seeded θs, queried with ``marginal``, ``marginal_batch``,
-  ``variable_marginals`` and ``mpe`` on seeded evidence;
+  ``variable_marginals``, ``mpe`` on seeded evidence and
+  ``support_size``;
 * ``store``: the file extensions that store holds after those queries,
   printed as their union over the part rather than digested, so a
   change in what the store keeps reads directly.
@@ -164,6 +170,21 @@ def kernel_answers(ir, num_vars: int, seed: str) -> str:
         twin.derivatives(), twin.marginals()])).hexdigest()
 
 
+def ac_answers(root, weights, num_vars: int, seed: str) -> str:
+    """SHA-256 of the scalar ``ArithmeticCircuit`` queries on ``root``
+    over its variables and two more that it does not mention."""
+    from repro.wmc.arithmetic_circuit import ArithmeticCircuit
+    rng = random.Random(seed)
+    extra = [num_vars + 1, num_vars + 2]
+    ac = ArithmeticCircuit(root, sorted(root.variables()) + extra)
+    weights = dict(weights)
+    for lit in (extra[0], -extra[0], extra[1], -extra[1]):
+        weights[lit] = rng.uniform(0.05, 1.0)
+    return hashlib.sha256(_encode([
+        ac.evaluate(weights), sorted(ac.derivatives(weights).items()),
+        sorted(ac.literal_marginals(weights).items())])).hexdigest()
+
+
 def psdd_answers(text: str, seed: str) -> str:
     """SHA-256 of the PSDD queries on the formula's SDD with seeded
     θs and evidence (an unsatisfiable formula has no PSDD: its error
@@ -171,7 +192,7 @@ def psdd_answers(text: str, seed: str) -> str:
     from repro.logic.cnf import Cnf
     from repro.psdd import psdd_from_sdd
     from repro.psdd.queries import (marginal, marginal_batch, mpe,
-                                    variable_marginals)
+                                    support_size, variable_marginals)
     from repro.sdd.compiler import compile_cnf_sdd
     root, _ = compile_cnf_sdd(Cnf.from_dimacs(text))
     try:
@@ -192,7 +213,8 @@ def psdd_answers(text: str, seed: str) -> str:
                  if rng.random() < 0.5} for _ in range(3)]
     return hashlib.sha256(_encode([
         marginal(psdd, evidence[0]), marginal_batch(psdd, evidence),
-        variable_marginals(psdd), mpe(psdd, evidence[1])])).hexdigest()
+        variable_marginals(psdd), mpe(psdd, evidence[1]),
+        support_size(psdd)])).hexdigest()
 
 
 def record(text: str, weights, work: Path, psdd: bool) -> dict:
@@ -218,9 +240,12 @@ def record(text: str, weights, work: Path, psdd: bool) -> dict:
             out["kernel"] = kernel_answers(store.load_nnf(ticket.key),
                                            ticket.num_vars, ticket.key)
         compiler = DnnfCompiler(store=None, proof=proof)
-        compiler.compile(Cnf.from_dimacs(ticket.dimacs))
+        root = compiler.compile(Cnf.from_dimacs(ticket.dimacs))
         out[f"{mode}.counters"] = [compiler.stats[name]
                                    for name in COUNTERS]
+        if not proof:
+            out["ac"] = ac_answers(root, weights, ticket.num_vars,
+                                   ticket.key)
     cnf = Cnf.from_dimacs(text)
     bounds = anytime_count(cnf)
     weighted = anytime_wmc(cnf, weights)
@@ -286,6 +311,7 @@ def main(argv=None) -> int:
                   f" wmc {digest(records, ['wmc'])}"
                   f" queries {digest(records, ['queries'])}"
                   f" kernel {digest(records, ['kernel'])}"
+                  f" ac {digest(records, ['ac'])}"
                   + (f" psdd {digest(records, ['psdd'])}" if with_psdd
                      else "")
                   + f" store {','.join(kinds)}", flush=True)
